@@ -15,7 +15,6 @@ from pgk import (
     factorize,
     kappa_class,
     kappa_formula,
-    optimal_Z,
     totient,
     upper_bound_ii,
 )
@@ -29,8 +28,7 @@ for n in range(2, limit + 1):
     f = factorize(n)
     c = classify(f)
     tags[c.tag] += 1
-    hint = optimal_Z(f).classes if f.r >= 2 else None
-    computed = kappa_class(build_quotient(n), certified_hint=hint).kappa
+    computed = kappa_class(build_quotient(n)).kappa
     formula = kappa_formula(f)
     if formula is not None and formula != computed:
         mismatches.append(n)

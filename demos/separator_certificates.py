@@ -44,5 +44,5 @@ print(f"  but removing {sorted(sep.classes)}")
 print(f"  disconnects at weight {sep.weight} = phi(n) + {sep.weight - phi}")
 assert sep.witness is not None
 print(f"  witness: class {sorted(sep.witness.block_a)} separates from the rest")
-kappa = kappa_class(build_quotient(2310), certified_hint=sep.classes).kappa
+kappa = kappa_class(build_quotient(2310)).kappa
 print(f"  and the class cut shows this is optimal: kappa(P(C_2310)) = {kappa}")

@@ -152,9 +152,8 @@ def build_report(n: int, *, use_element: bool = False, element_max_n: int | None
     c = classify(f)
     formula = kappa_formula(f)
     bound = upper_bound_ii(f) if c.tag in (CASE_II_BOUND, R3_EXACT) else None
-    g = build_quotient(n)
-    hint = optimal_Z(f).classes if f.r >= 2 else None
-    computed = kappa_class(g, certified_hint=hint).kappa
+    result = kappa_class(build_quotient(n))
+    computed = result.kappa
     element = (
         kappa_element_oracle(n, max_n=element_max_n).kappa if use_element else None
     )
@@ -167,7 +166,7 @@ def build_report(n: int, *, use_element: bool = False, element_max_n: int | None
     return Report(
         n=n,
         factorization=f.factors,
-        case_tag=c.tag if formula is not None else "computed-only",
+        case_tag=result.case_tag,
         kappa_computed=computed,
         kappa_formula=formula,
         kappa_element=element,
@@ -229,28 +228,25 @@ def _positive_int(text: str) -> int:
 def cmd_kappa(args: argparse.Namespace) -> int:
     n = args.n
     use_element = args.method in ("element", "both")
-    if use_element and n > element_guard() and not args.force:
-        print(
-            f"error: n={n} exceeds the element-oracle guard {element_guard()}; "
-            "use --force or PGK_ELEMENT_GUARD",
-            file=sys.stderr,
-        )
-        return 1
+    if use_element:
+        try:
+            guard = element_guard()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        if n > guard and not args.force:
+            print(
+                f"error: n={n} exceeds the element-oracle guard {guard}; "
+                "use --force or PGK_ELEMENT_GUARD",
+                file=sys.stderr,
+            )
+            return 1
     element_max = n if (use_element and args.force) else None
     report = build_report(n, use_element=use_element, element_max_n=element_max)
     if args.method == "element":
-        assert report.kappa_element is not None
-        report = Report(
-            n=report.n,
-            factorization=report.factorization,
-            case_tag=report.case_tag,
-            kappa_computed=report.kappa_element,
-            kappa_formula=report.kappa_formula,
-            kappa_element=report.kappa_element,
-            bound_ii=report.bound_ii,
-            agreement=report.agreement,
-            ms=report.ms,
-        )
+        if report.kappa_element is None:
+            raise RuntimeError(f"n={n}: the element oracle did not run")
+        report = replace(report, kappa_computed=report.kappa_element)
     if args.json:
         print(report.to_json())
     else:
@@ -278,7 +274,7 @@ def cmd_separators(args: argparse.Namespace) -> int:
         else:
             print(f"complete graph, kappa = {n - 1}; no separator exists")
         return 0
-    kappa = kappa_class(g, certified_hint=optimal_Z(factorize(n)).classes).kappa
+    kappa = kappa_class(g).kappa
     if args.all_min:
         if len(g.divisors) > ENUM_GUARD and not args.force:
             print(
@@ -395,8 +391,8 @@ def cmd_example2310(args: argparse.Namespace) -> int:
         print(f"|X| = {sep.weight} = phi(n) + {sep.weight - phi}")
         print(f"upper bound: {bound} = phi(n) + {bound - phi}")
         print(f"strictly below the bound: {sep.weight} < {bound}")
-        assert sep.witness is not None
-        print(f"witness block A: {sorted(sep.witness.block_a)}")
+        if sep.witness is not None:
+            print(f"witness block A: {sorted(sep.witness.block_a)}")
         print(f"verified: {'yes' if ok else 'NO'}")
     return 0 if ok else 2
 
@@ -415,13 +411,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 1
     ns = sorted(set(range(2, args.max_n + 1)) | set(args.extra))
     tasks = [(n, args.oracle_max_n) for n in ns]
-    start = time.perf_counter()
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_sweep_row, tasks, chunksize=16))
-    else:
-        reports = [_sweep_row(t) for t in tasks]
-
+    # open the sink first, so an unwritable --out fails before any work
     if args.out:
         try:
             sink = open(args.out, "w", encoding="utf-8")
@@ -432,7 +422,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         sink = sys.stdout
         summary_sink = sys.stderr
+    start = time.perf_counter()
     try:
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                reports = list(pool.map(_sweep_row, tasks, chunksize=16))
+        else:
+            reports = [_sweep_row(t) for t in tasks]
         if args.format == "csv":
             print(",".join(CSV_COLUMNS), file=sink)
             for report in reports:

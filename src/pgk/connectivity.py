@@ -3,10 +3,11 @@
 A smallest disconnecting vertex set of the power graph is a union of whole
 order classes, so kappa(P(C_n)) is the minimum total phi-weight of a divisor
 set whose removal disconnects the quotient graph. That minimum is computed
-exactly: for every non-adjacent divisor pair (u, v) run a node-splitting
-max-flow (each class an arc of capacity phi(d), adjacency arcs unbounded) and
-take the overall minimum. Complete quotients (n = 1 or a prime power) have no
-non-adjacent pair and kappa = n - 1 by convention, kappa(P(C_1)) = 0 included.
+exactly by node-splitting max-flows (each class an arc of capacity phi(d),
+adjacency arcs unbounded) from a few heavy source classes to the classes not
+adjacent to them; ``kappa_class`` states the source rule and its proof.
+Complete quotients (n = 1 or a prime power) have no non-adjacent pair and
+kappa = n - 1 by convention, kappa(P(C_1)) = 0 included.
 
 The independent element-level brute force lives in ``element_oracle`` and
 shares no graph or flow code with this module; the two routes are meant to
@@ -17,11 +18,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 from .arith import factorize
 from .formulas import CASE_II_BOUND, classify
-from .quotient import QuotientGraph, components_without
+from .quotient import QuotientGraph
 
 #: KappaResult.case_tag value for n where no closed form is known.
 COMPUTED_ONLY = "computed-only"
@@ -139,13 +139,6 @@ def _build_net(g: QuotientGraph) -> _FlowNet:
     return net
 
 
-def _pair_cut_weight(g: QuotientGraph, u: int, v: int, limit: int | None) -> int:
-    net = _build_net(g)
-    iu = g.index(u)
-    iv = g.index(v)
-    return net.max_flow(2 * iu + 1, 2 * iv, limit=limit)
-
-
 def min_cut_between(g: QuotientGraph, u: int, v: int) -> tuple[int, frozenset[int]]:
     """Minimum-weight class set separating u from v, with its weight.
 
@@ -169,40 +162,44 @@ def min_cut_between(g: QuotientGraph, u: int, v: int) -> tuple[int, frozenset[in
         for i, d in enumerate(g.divisors)
         if 2 * i in side and 2 * i + 1 not in side
     )
-    assert weight == sum(g.weight(d) for d in cut), "cut weight must equal flow value"
+    if weight != sum(g.weight(d) for d in cut):
+        raise RuntimeError(f"cut {sorted(cut)} does not weigh the flow value {weight}")
     return weight, cut
 
 
-def kappa_class(g: QuotientGraph, certified_hint: Iterable[int] | None = None) -> KappaResult:
+def kappa_class(g: QuotientGraph) -> KappaResult:
     """Exact kappa(P(C_n)) from the quotient graph.
 
-    ``certified_hint`` may name a class set believed to disconnect the
-    quotient; it is re-verified here by reachability before its weight is used
-    to cap the flow searches, so a wrong hint cannot change the result, only
-    the speed.
+    Source rule (Even 1975; Esfahanian and Hakimi 1984): visit the classes
+    x other than the universal 1 and n heaviest first, take the cheapest cut
+    from x to each class v not adjacent to it, and stop once the visited
+    weight exceeds best - phi(n) - 1, best being the running minimum.
+
+    Proof sketch: a minimum separator S weighs kappa <= best and contains 1
+    and n, so its other classes weigh at most best - phi(n) - 1. The visited
+    set is heavier (or holds every class, while S leaves two), so some
+    visited x lies outside S. S separates x from some v in another
+    component, v is not adjacent to x, and cut(x, v) = kappa.
     """
     n = g.n
     if g.is_complete:
         return KappaResult(n, n - 1, "class-cut", "prime-power")
 
+    universal = g.weight(1) + g.weight(n)  # phi(n) + 1
     best: int | None = None
-    if certified_hint is not None:
-        hint = set(certified_hint)
-        if len(components_without(g, hint)) >= 2:
-            best = sum(g.weight(d) for d in hint)
-
-    pairs = g.non_adjacent_pairs()
-    f = factorize(n)
-    favoured = (n // f.primes[-1], n // f.primes[0])
-    favoured = (min(favoured), max(favoured))
-    if favoured in pairs:
-        pairs.remove(favoured)
-        pairs.insert(0, favoured)
-    for u, v in pairs:
-        w = _pair_cut_weight(g, u, v, limit=best)
-        if best is None or w < best:
-            best = w
-    assert best is not None
+    visited = 0
+    for x in sorted(g.divisors[1:-1], key=g.weight, reverse=True):
+        for v in g.divisors:
+            if v != x and not g.adjacent(x, v):
+                net = _build_net(g)
+                w = net.max_flow(2 * g.index(x) + 1, 2 * g.index(v), limit=best)
+                if best is None or w < best:
+                    best = w
+        visited += g.weight(x)
+        if best is not None and visited > best - universal:
+            break
+    if best is None:
+        raise RuntimeError(f"n={n}: a non-complete quotient has no non-adjacent pair")
     return KappaResult(n, best, "class-cut", case_tag_for(n))
 
 

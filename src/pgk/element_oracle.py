@@ -37,7 +37,11 @@ DEFAULT_GUARD = 600
 
 def element_guard() -> int:
     """Current size guard: PGK_ELEMENT_GUARD if set, else 600."""
-    return int(os.environ.get("PGK_ELEMENT_GUARD", DEFAULT_GUARD))
+    raw = os.environ.get("PGK_ELEMENT_GUARD", str(DEFAULT_GUARD))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"PGK_ELEMENT_GUARD must be an integer, got {raw!r}") from None
 
 
 def element_adjacency(n: int) -> np.ndarray:
@@ -112,5 +116,6 @@ def kappa_element_oracle(
             value = int(maximum_flow(network, n + u, v).flow_value)
             if best is None or value < best:
                 best = value
-    assert best is not None, "non-complete graph must have a non-adjacent pair"
+    if best is None:
+        raise RuntimeError(f"n={n}: a non-complete graph has no non-adjacent pair")
     return KappaResult(n, best, "element-oracle", case_tag_for(n))

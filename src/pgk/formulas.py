@@ -130,7 +130,8 @@ def corollary_p1_ge_r(f: Factorization) -> int | None:
     if f.r < 2 or f.primes[0] < f.r:
         return None
     tag = classify(f).tag
-    assert tag in (CASE_I, CASE_III), f"p1 >= r must land in an exact case, got {tag}"
+    if tag not in (CASE_I, CASE_III):
+        raise RuntimeError(f"p1 >= r must land in an exact case, got {tag} for n={f.n}")
     return case_i_expression(f)
 
 

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, exact tolerances, budgeted runtimes.
 
 Run with -s to see one PASS line per criterion. The two expensive artifacts
-(the class-cut connectivity table up to 2000 and the element-oracle table up
+(the class-cut connectivity table up to 5000 and the element-oracle table up
 to 300) are built once per module and shared.
 """
 
@@ -24,21 +24,18 @@ from pgk import (
     kappa_element_oracle,
     kappa_formula,
     lemma4_slack,
-    optimal_Z,
     size_Z_formula,
     totient,
     upper_bound_ii,
     verify_witness,
 )
 
-MAX_N = 2000
+MAX_N = 5000
 ORACLE_MAX_N = 300
 
 
 def _class_kappa(n: int) -> int:
-    f = factorize(n)
-    hint = optimal_Z(f).classes if f.r >= 2 else None
-    return kappa_class(build_quotient(n), certified_hint=hint).kappa
+    return kappa_class(build_quotient(n)).kappa
 
 
 def _passed(name: str, elapsed: float, detail: str) -> None:

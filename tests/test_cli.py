@@ -66,6 +66,15 @@ def test_kappa_element_guard_usage_error(capsys, monkeypatch):
     assert json.loads(out)["kappa_computed"] == 6
 
 
+def test_kappa_bad_element_guard_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("PGK_ELEMENT_GUARD", "abc")
+    code, out, err = run(capsys, "kappa", "12", "--method", "element")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "PGK_ELEMENT_GUARD" in err
+
+
 def test_kappa_mismatch_exits_2(capsys, monkeypatch):
     rigged = Report(     # impossible numbers, only to exercise the exit contract
         n=6,
@@ -238,12 +247,14 @@ def test_sweep_bad_range(capsys):
     assert "--max-n" in err
 
 
-def test_sweep_unwritable_out(capsys):
-    code, _, err = run(
-        capsys, "sweep", "--max-n", "5", "--out", "/no/such/dir/rows.json"
-    )
+def test_sweep_unwritable_out(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("pgk.cli.build_report", lambda *a, **k: calls.append(a))
+    target = tmp_path / "missing" / "rows.json"
+    code, _, err = run(capsys, "sweep", "--max-n", "600", "--out", str(target))
     assert code == 1
     assert "cannot write" in err
+    assert calls == []  # fails before computing any row
 
 
 # --- report plumbing ----------------------------------------------------------------

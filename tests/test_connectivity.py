@@ -6,6 +6,7 @@ from pgk import (
     SeparationWitness,
     build_quotient,
     components_without,
+    factorize,
     kappa_class,
     kappa_element_oracle,
     min_cut_between,
@@ -13,6 +14,7 @@ from pgk import (
     verify_witness,
     witness_problems,
 )
+from pgk.connectivity import _build_net
 
 
 @pytest.mark.parametrize(
@@ -33,14 +35,31 @@ def test_kappa_class_result_fields():
     assert kappa_class(build_quotient(2310)).case_tag == "computed-only"
 
 
-def test_kappa_class_hint_cannot_change_result():
-    g = build_quotient(36)
-    baseline = kappa_class(g).kappa
-    # a useless hint (does not disconnect) and a genuine one give the same value
-    assert kappa_class(g, certified_hint={2, 3}).kappa == baseline
-    assert kappa_class(g, certified_hint={1, 2, 12, 36}).kappa == baseline
-    # an over-heavy but genuine separator must not inflate the result
-    assert kappa_class(g, certified_hint=set(g.divisors) - {4, 9}).kappa == baseline
+def kappa_all_pairs(g):
+    """Unpruned reference: the cheapest cut over every incomparable pair."""
+    if g.is_complete:
+        return g.n - 1
+    best = None
+    for u, v in g.non_adjacent_pairs():
+        w = _build_net(g).max_flow(2 * g.index(u) + 1, 2 * g.index(v), limit=best)
+        if best is None or w < best:
+            best = w
+    return best
+
+
+def test_source_rule_matches_all_pairs_up_to_600():
+    for n in range(1, 601):
+        g = build_quotient(n)
+        assert kappa_class(g).kappa == kappa_all_pairs(g), n
+
+
+def test_source_rule_matches_all_pairs_without_closed_form():
+    # r >= 4 is where no closed form checks the class cut
+    ns = [n for n in range(2, 2001) if factorize(n).r >= 4]
+    assert len(ns) == 81
+    for n in ns:
+        g = build_quotient(n)
+        assert kappa_class(g).kappa == kappa_all_pairs(g), n
 
 
 @pytest.mark.parametrize(

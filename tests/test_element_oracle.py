@@ -91,6 +91,9 @@ def test_guard_default_and_overrides(monkeypatch):
     with pytest.raises(ValueError):
         kappa_element_oracle(12)
     assert kappa_element_oracle(12, max_n=12).kappa == 6
+    monkeypatch.setenv("PGK_ELEMENT_GUARD", "abc")
+    with pytest.raises(ValueError, match="PGK_ELEMENT_GUARD"):
+        element_guard()
 
 
 def test_oracle_rejects_zero():
