@@ -5,8 +5,8 @@ other. This package computes its vertex connectivity exactly along two
 independent routes (a weighted minimum cut on the divisor-class quotient and
 an element-level brute force), evaluates the known closed forms and the upper
 bound for the remaining case, constructs explicit minimum separators with
-verified disconnection witnesses, and enumerates all minimum separators
-exhaustively at small scale.
+verified disconnection witnesses, and lists every minimum separator from the
+tight flows of the class cut.
 """
 
 from .arith import Factorization, alpha_beta, cofree_divisor, divisors, factorize, totient

@@ -2,7 +2,7 @@
 
 Subcommands
     kappa N        connectivity of P(C_N): formula vs computation, agreement
-    separators N   constructed or exhaustively enumerated minimum separators
+    separators N   the optimal layer separator, or every minimum separator
     bound N        the upper bound for the not-exactly-solved case
     example2310    the n = 2310 certificate beating that bound
     sweep          one report row per n over a range, JSON lines or CSV
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -47,7 +48,8 @@ CSV_COLUMNS = (
     "n_min_separators",
     "ms",
 )
-ENUM_GUARD = 24
+#: Largest n accepted on the command line: trial division stays near 5e5 steps.
+MAX_N = 10**12
 
 
 @dataclass(frozen=True)
@@ -220,8 +222,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_int(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"n must be >= 1, got {value}")
+    if not 1 <= value <= MAX_N:
+        raise argparse.ArgumentTypeError(f"n must be in [1, 10**12], got {value}")
     return value
 
 
@@ -276,14 +278,7 @@ def cmd_separators(args: argparse.Namespace) -> int:
         return 0
     kappa = kappa_class(g).kappa
     if args.all_min:
-        if len(g.divisors) > ENUM_GUARD and not args.force:
-            print(
-                f"error: tau(n) = {len(g.divisors)} exceeds the enumeration "
-                f"guard {ENUM_GUARD}; use --force",
-                file=sys.stderr,
-            )
-            return 1
-        seps = enumerate_min_separators(g, kappa, force=args.force)
+        seps = enumerate_min_separators(g, kappa)
     else:
         sep = optimal_Z(factorize(n))
         if args.witness:
@@ -424,8 +419,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         summary_sink = sys.stderr
     start = time.perf_counter()
     try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the fork start method launches every worker at once, so cap them
+        workers = min(args.jobs, os.cpu_count() or 1, len(tasks))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(_sweep_row, tasks, chunksize=16))
         else:
             reports = [_sweep_row(t) for t in tasks]
@@ -485,7 +482,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--witness", action="store_true", help="include block partitions")
     p_sep.add_argument("--json", action="store_true")
     p_sep.add_argument(
-        "--force", action="store_true", help="override the enumeration guard"
+        "--force", action="store_true", help="no effect; accepted for old command lines"
     )
     p_sep.set_defaults(func=cmd_separators)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Collection, Iterator
 
 from .arith import factorize
 from .formulas import CASE_II_BOUND, classify
@@ -113,16 +114,40 @@ class _FlowNet:
                 flow += pushed
         return flow
 
-    def residual_source_side(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            a = queue.popleft()
-            for b, cap, _ in self.adj[a]:
-                if cap > 0 and b not in seen:
+    def closure(self, u: int, forward: bool, closed: Collection[int] = ()) -> set[int]:
+        """``closed`` plus every node u reaches along residual arcs (forward)
+        or that reaches u (backward); ``closed`` must be closed that way."""
+        seen = set(closed)
+        seen.add(u)
+        todo = [u]
+        while todo:
+            a = todo.pop()
+            for b, cap, rev in self.adj[a]:
+                if b not in seen and (cap if forward else self.adj[b][rev][1]) > 0:
                     seen.add(b)
-                    queue.append(b)
+                    todo.append(b)
         return seen
+
+    def cut_sides(self, s: int, t: int) -> Iterator[set[int]]:
+        """Every residual-closed node set holding s and not t, after a max flow.
+
+        These are exactly the source sides of the minimum s-t cuts (Picard
+        and Queyranne 1980). Start from the forward closure of s and the
+        backward closure of t, then branch on a free node u: put its forward
+        closure on the source side, or its backward closure on the sink side.
+        Both branches always succeed, because a closed side cannot reach (or
+        be reached from) a free node, so every leaf is a distinct cut and the
+        delay is polynomial.
+        """
+        stack = [(self.closure(s, True), self.closure(t, False))]
+        while stack:
+            side, other = stack.pop()
+            u = next((a for a in range(len(self.adj)) if a not in side and a not in other), None)
+            if u is None:
+                yield side
+                continue
+            stack.append((side, self.closure(u, False, other)))
+            stack.append((self.closure(u, True, side), other))
 
 
 def _build_net(g: QuotientGraph) -> _FlowNet:
@@ -139,6 +164,13 @@ def _build_net(g: QuotientGraph) -> _FlowNet:
     return net
 
 
+def _cut_classes(g: QuotientGraph, side: set[int]) -> frozenset[int]:
+    # the classes whose capacity arc leaves the source side
+    return frozenset(
+        d for i, d in enumerate(g.divisors) if 2 * i in side and 2 * i + 1 not in side
+    )
+
+
 def min_cut_between(g: QuotientGraph, u: int, v: int) -> tuple[int, frozenset[int]]:
     """Minimum-weight class set separating u from v, with its weight.
 
@@ -153,18 +185,35 @@ def min_cut_between(g: QuotientGraph, u: int, v: int) -> tuple[int, frozenset[in
     if g.adjacent(u, v):
         raise ValueError(f"classes {u} and {v} are adjacent; no vertex cut separates them")
     net = _build_net(g)
-    iu = g.index(u)
-    iv = g.index(v)
-    weight = net.max_flow(2 * iu + 1, 2 * iv)
-    side = net.residual_source_side(2 * iu + 1)
-    cut = frozenset(
-        d
-        for i, d in enumerate(g.divisors)
-        if 2 * i in side and 2 * i + 1 not in side
-    )
+    s = 2 * g.index(u) + 1
+    weight = net.max_flow(s, 2 * g.index(v))
+    cut = _cut_classes(g, net.closure(s, True))
     if weight != sum(g.weight(d) for d in cut):
         raise RuntimeError(f"cut {sorted(cut)} does not weigh the flow value {weight}")
     return weight, cut
+
+
+def _source_flows(
+    g: QuotientGraph, limit: int | None
+) -> Iterator[tuple[int, int, _FlowNet, int]]:
+    # The source rule's flows as (source node, sink node, net, value), each
+    # stopped early at ``limit`` or, when that is None, at the running minimum.
+    universal = g.weight(1) + g.weight(g.n)  # phi(n) + 1
+    best: int | None = None
+    visited = 0
+    for x in sorted(g.divisors[1:-1], key=g.weight, reverse=True):
+        s = 2 * g.index(x) + 1
+        for v in g.divisors:
+            if v != x and not g.adjacent(x, v):
+                net = _build_net(g)
+                t = 2 * g.index(v)
+                w = net.max_flow(s, t, limit=best if limit is None else limit)
+                yield s, t, net, w
+                if best is None or w < best:
+                    best = w
+        visited += g.weight(x)
+        if best is not None and visited > best - universal:
+            break
 
 
 def kappa_class(g: QuotientGraph) -> KappaResult:
@@ -184,23 +233,34 @@ def kappa_class(g: QuotientGraph) -> KappaResult:
     n = g.n
     if g.is_complete:
         return KappaResult(n, n - 1, "class-cut", "prime-power")
-
-    universal = g.weight(1) + g.weight(n)  # phi(n) + 1
-    best: int | None = None
-    visited = 0
-    for x in sorted(g.divisors[1:-1], key=g.weight, reverse=True):
-        for v in g.divisors:
-            if v != x and not g.adjacent(x, v):
-                net = _build_net(g)
-                w = net.max_flow(2 * g.index(x) + 1, 2 * g.index(v), limit=best)
-                if best is None or w < best:
-                    best = w
-        visited += g.weight(x)
-        if best is not None and visited > best - universal:
-            break
+    best = min((w for *_, w in _source_flows(g, None)), default=None)
     if best is None:
         raise RuntimeError(f"n={n}: a non-complete quotient has no non-adjacent pair")
     return KappaResult(n, best, "class-cut", case_tag_for(n))
+
+
+def tight_cuts(g: QuotientGraph, kappa: int) -> Iterator[frozenset[int]]:
+    """Every minimum x-v cut of weight kappa over the source rule's pairs.
+
+    Runs the flows of ``kappa_class``, each up to kappa + 1, and for each
+    flow of value kappa yields the classes cut by every residual-closed side
+    (``_FlowNet.cut_sides``); a cut may come more than once. Once a flow
+    reaches kappa the stopping test is the source rule's at kappa. Raises
+    ValueError if a flow falls below kappa or none reaches it: either way
+    kappa is not the connectivity.
+    """
+    if g.is_complete:
+        raise ValueError("complete quotient has no separator; kappa = n - 1")
+    tight = False
+    for s, t, net, w in _source_flows(g, kappa + 1):
+        if w < kappa:
+            raise ValueError(f"n={g.n}: a cut weighs {w} < {kappa}; kappa is not the connectivity")
+        if w == kappa:
+            tight = True
+            for side in net.cut_sides(s, t):
+                yield _cut_classes(g, side)
+    if not tight:
+        raise ValueError(f"n={g.n}: no cut weighs {kappa}; kappa is not the connectivity")
 
 
 def witness_problems(g: QuotientGraph, w: SeparationWitness) -> list[str]:

@@ -1,4 +1,4 @@
-"""Explicit separator constructions and exhaustive minimum-separator search.
+"""Explicit separator constructions and the list of all minimum separators.
 
 The layered family Z(r, k), defined for 0 <= k <= e_r - 1, removes
 
@@ -16,7 +16,8 @@ tied at equality. In the exactly-solved cases the optimum is not just small
 but IS the minimum separator: unique when 2*phi(P) > P and when r = 3 with
 2*phi(p_1 p_2) < p_1 p_2, and for n = 2^e_1 p^e_2 the e_2 sets Z(2, k) are
 precisely the minimum separators. enumerate_min_separators machine-checks
-statements of that kind by exhaustive subset search.
+statements of that kind: it lists every minimum separator from the tight
+flows of the class cut's source rule, at any number of divisors.
 
 The layer sets are not always optimal: for n = 2310 a hand-built separator
 mixing the order classes of 210 and 330 with the subgroups of order 6, 10
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 from math import prod
 
 from .arith import Factorization, alpha_beta, divisors, factorize, totient
-from .connectivity import SeparationWitness
+from .connectivity import SeparationWitness, tight_cuts
 from .formulas import classify
 from .quotient import QuotientGraph, build_quotient, components_without
 
@@ -159,90 +160,28 @@ def check_disconnects(s: ClassSeparator) -> SeparationWitness:
     )
 
 
-def _kept_side_locked(g: QuotientGraph, kept: list[int], undecided: list[int]) -> bool:
-    # Optimistic connectivity prune: if the classes already committed to
-    # survive are mutually connected and every undecided class attaches to
-    # them, no way of finishing the subset can disconnect the quotient.
-    if not kept:
-        return False
-    seen = {kept[0]}
-    todo = [kept[0]]
-    while todo:
-        d = todo.pop()
-        for e in kept:
-            if e not in seen and (e % d == 0 or d % e == 0):
-                seen.add(e)
-                todo.append(e)
-    if len(seen) != len(kept):
-        return False
-    return all(
-        any(x % d == 0 or d % x == 0 for d in kept) for x in undecided
-    )
+def enumerate_min_separators(g: QuotientGraph, kappa: int) -> list[ClassSeparator]:
+    """Every minimum separator of P(C_n), given its connectivity kappa.
 
+    Each result weighs kappa, contains the universal classes 1 and n,
+    carries a verified witness, and is labelled Z(r, k) when it coincides
+    with a layer set. Output is lexicographic by divisor set. Raises
+    ValueError when kappa is not the connectivity.
 
-def enumerate_min_separators(
-    g: QuotientGraph, kappa: int, *, max_divisors: int = 24, force: bool = False
-) -> list[ClassSeparator]:
-    """All class sets of total weight exactly kappa that disconnect the quotient.
-
-    With kappa the true connectivity these are exactly the minimum separators
-    of P(C_n). Every result contains the classes 1 and n (the universal
-    vertices must go), carries a verified witness, and is labelled Z(r, k)
-    when it coincides with a layer set. Output is lexicographic by divisor
-    set. Guarded to tau(n) <= max_divisors unless force=True.
+    Proof sketch that every minimum separator is a tight x-v cut: let S be
+    one. The source rule of ``kappa_class``, stopped at kappa, visits some x
+    outside S, and S separates x from a class v in another component, so v
+    is not adjacent to x. Every x-v separator weighs at least
+    cut(x, v) >= kappa = w(S), so S is a minimum x-v cut and the x-v flow
+    is tight. In the split network the minimum x-v vertex cuts are the
+    minimum arc cuts (the adjacency arcs are never cut), and those are
+    exactly the residual-closed source sides of one max flow (Picard and
+    Queyranne 1980). Conversely each such cut weighs kappa and separates x
+    from v. So the tight cuts over the visited pairs, deduplicated, are the
+    minimum separators.
     """
-    n = g.n
-    if g.is_complete:
-        raise ValueError("complete quotient has no separator; kappa = n - 1")
-    tau = len(g.divisors)
-    if tau > max_divisors and not force:
-        raise ValueError(
-            f"tau(n) = {tau} exceeds the enumeration guard {max_divisors}; "
-            "pass force=True to search anyway"
-        )
-    base_weight = g.weight(1) + g.weight(n)
-    if kappa < base_weight:
-        return []
-    budget = kappa - base_weight
-    cands = [d for d in g.divisors if d != 1 and d != n]
-    wts = [g.weight(d) for d in cands]
-    m = len(cands)
-
-    # suffix subset-sum feasibility bitsets over the extra weight still needed
-    mask = (1 << (budget + 1)) - 1
-    reach = [0] * (m + 1)
-    reach[m] = 1
-    for i in range(m - 1, -1, -1):
-        r = reach[i + 1]
-        reach[i] = (r | (r << wts[i])) & mask
-
-    found: list[frozenset[int]] = []
-    chosen: list[int] = []
-    kept: list[int] = []
-
-    def dfs(i: int, spent: int) -> None:
-        if spent == budget:
-            removed = frozenset(chosen) | {1, n}
-            if len(components_without(g, removed)) >= 2:
-                found.append(removed)
-            return
-        if i == m:
-            return
-        if not (reach[i] >> (budget - spent)) & 1:
-            return
-        if _kept_side_locked(g, kept, cands[i:]):
-            return
-        if spent + wts[i] <= budget:
-            chosen.append(cands[i])
-            dfs(i + 1, spent + wts[i])
-            chosen.pop()
-        kept.append(cands[i])
-        dfs(i + 1, spent)
-        kept.pop()
-
-    dfs(0, 0)
-
-    f = factorize(n)
+    found = set(tight_cuts(g, kappa))
+    f = factorize(g.n)
     z_labels = {
         frozenset(build_Z(f, k).classes): f"Z({f.r},{k})"
         for k in range(f.exponents[-1])
@@ -250,7 +189,7 @@ def enumerate_min_separators(
     results = []
     for classes in sorted(found, key=lambda s: tuple(sorted(s))):
         sep = ClassSeparator(
-            n=n,
+            n=g.n,
             classes=classes,
             weight=kappa,
             label=z_labels.get(classes, "enumerated"),

@@ -162,6 +162,28 @@ def test_criterion_4_minimum_separator_counts(kappa_table):
     )
 
 
+def test_criterion_4b_separators_in_the_case_ii_bound_regime(kappa_table):
+    start = time.perf_counter()
+    regime = [n for n in range(2, 2001) if factorize(n).r >= 4]
+    assert len(regime) == 81
+    for n in regime + [2310]:
+        g = build_quotient(n)
+        seps = enumerate_min_separators(g, kappa_table[n])
+        # one minimum separator each, as computed; the paper leaves this open
+        assert len(seps) == 1, f"n={n}: {len(seps)} minimum separators"
+        (sep,) = seps
+        assert sep.weight == kappa_table[n] == sum(g.weight(d) for d in sep.classes)
+        assert {1, n} <= sep.classes, n
+        assert sep.witness is not None and verify_witness(g, sep.witness), n
+    assert sep.classes == example_2310().classes  # the last n, 2310
+    _passed(
+        "criterion 4b (case-ii-bound separators)",
+        time.perf_counter() - start,
+        f"exactly one minimum separator for each of the {len(regime)} n <= 2000 "
+        "with r >= 4, and n = 2310 gives the certificate",
+    )
+
+
 def test_criterion_5_equality_characterization(kappa_table):
     start = time.perf_counter()
     exceptions = []

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from pgk import SeparationWitness, build_quotient, verify_witness
 from pgk.cli import CSV_COLUMNS, Report, build_report, main
 
 
@@ -90,6 +91,24 @@ def test_kappa_mismatch_exits_2(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+def test_huge_n_is_refused_at_parse_time(capsys, monkeypatch):
+    def never(n):
+        raise AssertionError("factorize must not run")
+
+    monkeypatch.setattr("pgk.cli.factorize", never)
+    monkeypatch.setattr("pgk.cli.build_quotient", never)
+    for argv in (
+        ["kappa", "100000000000000000039"],
+        ["separators", str(10**12 + 1)],
+        ["bound", str(10**12 + 1)],
+        ["sweep", "--max-n", "10", "--extra", str(10**12 + 1)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "10**12" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["kappa", "0"])
@@ -140,10 +159,24 @@ def test_separators_witness_blocks(capsys):
     assert sep["witness"]["block_b"] == [3, 6, 9, 18]
 
 
-def test_separators_guard(capsys):
-    code, _, err = run(capsys, "separators", "1680", "--all-min")
-    assert code == 1
-    assert "guard" in err
+def test_separators_all_min_past_old_guard(capsys):
+    # tau(1680) = 40; --force is accepted and changes nothing
+    code, out, _ = run(capsys, "separators", "1680", "--all-min", "--witness", "--json")
+    assert code == 0
+    code, forced, _ = run(
+        capsys, "separators", "1680", "--all-min", "--witness", "--json", "--force"
+    )
+    assert code == 0 and forced == out
+    data = json.loads(out)
+    g = build_quotient(1680)
+    assert data["separators"]
+    for sep in data["separators"]:
+        assert sep["weight"] == data["kappa"]
+        witness = SeparationWitness(
+            *(frozenset(sep["witness"][k]) for k in ("removed", "block_a", "block_b"))
+        )
+        assert sorted(witness.removed) == sep["classes"]
+        assert verify_witness(g, witness)
 
 
 # --- bound and the 2310 certificate ----------------------------------------------
@@ -239,6 +272,31 @@ def test_sweep_parallel_matches_serial(capsys):
         return rows
 
     assert strip_ms(serial_out) == strip_ms(parallel_out)
+
+
+def test_sweep_jobs_capped(capsys, monkeypatch):
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("pgk.cli.ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("pgk.cli.os.cpu_count", lambda: 4)
+    assert run(capsys, "sweep", "--max-n", "20", "--jobs", "100000")[0] == 0
+    assert run(capsys, "sweep", "--max-n", "3", "--jobs", "100000")[0] == 0
+    monkeypatch.setattr("pgk.cli.os.cpu_count", lambda: None)
+    assert run(capsys, "sweep", "--max-n", "20", "--jobs", "100000")[0] == 0
+    assert seen == [4, 2]  # 19 tasks on 4 CPUs; 2 tasks; no CPU count runs serially
 
 
 def test_sweep_bad_range(capsys):

@@ -1,5 +1,7 @@
 """Class-level connectivity: kappa, pairwise cuts, witnesses."""
 
+from itertools import combinations
+
 import pytest
 
 from pgk import (
@@ -14,7 +16,7 @@ from pgk import (
     verify_witness,
     witness_problems,
 )
-from pgk.connectivity import _build_net
+from pgk.connectivity import _build_net, _cut_classes
 
 
 @pytest.mark.parametrize(
@@ -45,6 +47,36 @@ def kappa_all_pairs(g):
         if best is None or w < best:
             best = w
     return best
+
+
+def min_cuts_by_subsets(g, u, v, weight):
+    """Reference: every class set of the given weight separating u from v."""
+    rest = [d for d in g.divisors if d not in (u, v)]
+    found = set()
+    for size in range(len(rest) + 1):
+        for cut in combinations(rest, size):
+            if sum(g.weight(d) for d in cut) != weight:
+                continue
+            comps = components_without(g, cut)
+            if next(c for c in comps if u in c) != next(c for c in comps if v in c):
+                found.add(frozenset(cut))
+    return found
+
+
+def test_cut_sides_are_all_minimum_cuts():
+    # Picard-Queyranne on every incomparable pair: the residual-closed sides
+    # of one max flow give every minimum u-v cut and nothing else
+    several = 0
+    for n in range(2, 101):
+        g = build_quotient(n)
+        for u, v in g.non_adjacent_pairs():
+            net = _build_net(g)
+            s, t = 2 * g.index(u) + 1, 2 * g.index(v)
+            weight = net.max_flow(s, t)
+            cuts = {_cut_classes(g, side) for side in net.cut_sides(s, t)}
+            assert cuts == min_cuts_by_subsets(g, u, v, weight), (n, u, v)
+            several += len(cuts) > 1
+    assert several > 0
 
 
 def test_source_rule_matches_all_pairs_up_to_600():

@@ -1,0 +1,70 @@
+"""Property tests over random n, and a lint that keeps asserts out of src/pgk."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from pgk import (
+    build_quotient,
+    build_Z,
+    components_without,
+    factorize,
+    kappa_class,
+    min_cut_between,
+    size_Z_formula,
+)
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "pgk"
+
+composite = st.integers(min_value=2, max_value=3000).filter(
+    lambda n: factorize(n).r >= 2
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(composite, st.data())
+def test_size_Z_formula_is_the_layer_set_weight(n, data):
+    f = factorize(n)
+    k = data.draw(st.integers(min_value=0, max_value=f.exponents[-1] - 1))
+    assert size_Z_formula(f, k) == build_Z(f, k).weight
+
+
+@settings(max_examples=200, deadline=None)
+@given(composite, st.data())
+def test_min_cut_between_disconnects(n, data):
+    g = build_quotient(n)
+    pairs = g.non_adjacent_pairs()
+    u, v = data.draw(st.sampled_from(pairs))
+    weight, cut = min_cut_between(g, u, v)
+    assert weight == sum(g.weight(d) for d in cut)
+    comps = components_without(g, cut)
+    assert next(c for c in comps if u in c) != next(c for c in comps if v in c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=3000))
+def test_kappa_at_most_the_minimum_degree(n):
+    # an element of order d is adjacent to the rest of its class and to every
+    # element of a comparable order
+    g = build_quotient(n)
+    degree = min(
+        w - 1 + sum(g.weight(e) for e in g.divisors if g.adjacent(d, e))
+        for d, w in zip(g.divisors, g.weights)
+    )
+    assert kappa_class(g).kappa <= degree
+
+
+def test_no_assert_statements_in_the_package():
+    # asserts vanish under python -O, so no check in src/pgk may rely on one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

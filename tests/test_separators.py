@@ -6,6 +6,8 @@ from pgk import (
     build_quotient,
     build_Z,
     check_disconnects,
+    components_without,
+    divisors,
     enumerate_min_separators,
     example_2310,
     expand_to_elements,
@@ -141,7 +143,80 @@ def test_check_disconnects_rejects_tiny_remainders():
         check_disconnects(foreign)
 
 
-# --- exhaustive enumeration -----------------------------------------------------
+# --- enumeration from tight flows ------------------------------------------------
+
+
+def _kept_side_locked(g, kept, undecided):
+    # Optimistic connectivity prune: if the classes already committed to
+    # survive are mutually connected and every undecided class attaches to
+    # them, no way of finishing the subset can disconnect the quotient.
+    if not kept:
+        return False
+    seen = {kept[0]}
+    todo = [kept[0]]
+    while todo:
+        d = todo.pop()
+        for e in kept:
+            if e not in seen and (e % d == 0 or d % e == 0):
+                seen.add(e)
+                todo.append(e)
+    if len(seen) != len(kept):
+        return False
+    return all(
+        any(x % d == 0 or d % x == 0 for d in kept) for x in undecided
+    )
+
+
+def enumerate_by_subsets(g, kappa):
+    """Reference: every class set of weight kappa that disconnects, by subset DFS.
+
+    The search that enumerate_min_separators replaced, kept unchanged: a
+    subset-sum bitset prune on the weight still needed and the kept-side
+    connectivity prune. Exponential in tau(n); returns sorted divisor tuples.
+    """
+    n = g.n
+    base_weight = g.weight(1) + g.weight(n)
+    if kappa < base_weight:
+        return []
+    budget = kappa - base_weight
+    cands = [d for d in g.divisors if d != 1 and d != n]
+    wts = [g.weight(d) for d in cands]
+    m = len(cands)
+
+    # suffix subset-sum feasibility bitsets over the extra weight still needed
+    mask = (1 << (budget + 1)) - 1
+    reach = [0] * (m + 1)
+    reach[m] = 1
+    for i in range(m - 1, -1, -1):
+        r = reach[i + 1]
+        reach[i] = (r | (r << wts[i])) & mask
+
+    found = []
+    chosen = []
+    kept = []
+
+    def dfs(i, spent):
+        if spent == budget:
+            removed = frozenset(chosen) | {1, n}
+            if len(components_without(g, removed)) >= 2:
+                found.append(removed)
+            return
+        if i == m:
+            return
+        if not (reach[i] >> (budget - spent)) & 1:
+            return
+        if _kept_side_locked(g, kept, cands[i:]):
+            return
+        if spent + wts[i] <= budget:
+            chosen.append(cands[i])
+            dfs(i + 1, spent + wts[i])
+            chosen.pop()
+        kept.append(cands[i])
+        dfs(i + 1, spent)
+        kept.pop()
+
+    dfs(0, 0)
+    return sorted(tuple(sorted(s)) for s in found)
 
 
 def enumerate_for(n):
@@ -184,12 +259,28 @@ def test_enumeration_results_are_sound():
             assert s.witness is not None and verify_witness(g, s.witness)
 
 
-def test_enumeration_guard():
-    g = build_quotient(12)
-    with pytest.raises(ValueError, match="guard"):
-        enumerate_min_separators(g, 6, max_divisors=3)
-    seps = enumerate_min_separators(g, 6, max_divisors=3, force=True)
-    assert len(seps) == 1
+def test_enumeration_matches_subset_search():
+    # every non-complete n <= 1500 the subset search finishes quickly
+    # (tau <= 24), plus three tau 25-32 values past the old guard
+    small = [
+        n
+        for n in range(2, 1501)
+        if not build_quotient(n).is_complete and len(divisors(n)) <= 24
+    ]
+    assert len(small) == 1220
+    for n in small + [1296, 2040, 2310]:
+        g = build_quotient(n)
+        kappa, seps = enumerate_for(n)
+        assert [tuple(sorted(s.classes)) for s in seps] == enumerate_by_subsets(g, kappa), n
+
+
+def test_enumeration_rejects_wrong_kappa():
+    g = build_quotient(12)  # kappa = 6
+    with pytest.raises(ValueError, match="not the connectivity"):
+        enumerate_min_separators(g, 7)
+    with pytest.raises(ValueError, match="not the connectivity"):
+        enumerate_min_separators(g, 5)
+    assert len(enumerate_min_separators(g, 6)) == 1
 
 
 def test_enumeration_rejects_complete_graph():
