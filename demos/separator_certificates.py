@@ -14,16 +14,14 @@ from pgk import (
     enumerate_min_separators,
     example_2310,
     factorize,
-    kappa_class,
     totient,
     upper_bound_ii,
 )
 
 for n in (45, 36, 150):
     f = factorize(n)
-    g = build_quotient(n)
-    kappa = kappa_class(g).kappa
-    print(f"n = {n}: kappa = {kappa}")
+    seps = enumerate_min_separators(build_quotient(n))
+    print(f"n = {n}: kappa = {seps[0].weight}")
     for k in range(f.exponents[-1]):
         z = build_Z(f, k)
         w = check_disconnects(z)
@@ -31,7 +29,6 @@ for n in (45, 36, 150):
             f"  {z.label}: remove {sorted(z.classes)} (weight {z.weight}); "
             f"splits off {sorted(w.block_a)}"
         )
-    seps = enumerate_min_separators(g, kappa)
     print(f"  enumeration finds {len(seps)} minimum separator(s): "
           f"{[s.label for s in seps]}")
     print()
@@ -45,5 +42,7 @@ print(f"  but removing {sorted(sep.classes)}")
 print(f"  disconnects at weight {sep.weight} = phi(n) + {sep.weight - phi}")
 assert sep.witness is not None
 print(f"  witness: class {sorted(sep.witness.block_a)} separates from the rest")
-kappa = kappa_class(build_quotient(2310)).kappa
-print(f"  and the class cut shows this is optimal: kappa(P(C_2310)) = {kappa}")
+seps = enumerate_min_separators(build_quotient(2310))
+print(f"  the class cut shows this is optimal: kappa(P(C_2310)) = {seps[0].weight}")
+only = [s.classes for s in seps] == [sep.classes]
+print(f"  and that it is the only minimum separator: {only}")

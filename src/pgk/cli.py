@@ -21,7 +21,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .arith import factorize, totient
 from .connectivity import kappa_class, verify_witness
@@ -50,6 +50,8 @@ CSV_COLUMNS = (
 )
 #: Largest n accepted on the command line: trial division stays near 5e5 steps.
 MAX_N = 10**12
+#: Largest sweep --max-n: every n up to it is listed before the first row runs.
+MAX_SWEEP_N = 10**6
 
 
 @dataclass(frozen=True)
@@ -227,6 +229,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _sweep_max_n(text: str) -> int:
+    value = int(text)
+    if not 2 <= value <= MAX_SWEEP_N:
+        raise argparse.ArgumentTypeError(f"--max-n must be in [2, 10**6], got {value}")
+    return value
+
+
 def cmd_kappa(args: argparse.Namespace) -> int:
     n = args.n
     use_element = args.method in ("element", "both")
@@ -260,26 +269,12 @@ def cmd_separators(args: argparse.Namespace) -> int:
     n = args.n
     g = build_quotient(n)
     if g.is_complete:
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "schema": SCHEMA,
-                        "n": n,
-                        "complete": True,
-                        "kappa": n - 1,
-                        "separators": [],
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(f"complete graph, kappa = {n - 1}; no separator exists")
-        return 0
-    kappa = kappa_class(g).kappa
-    if args.all_min:
-        seps = enumerate_min_separators(g, kappa)
+        kappa, seps = n - 1, []
+    elif args.all_min:
+        seps = enumerate_min_separators(g)
+        kappa = seps[0].weight
     else:
+        kappa = kappa_class(g).kappa
         sep = optimal_Z(factorize(n))
         if args.witness:
             sep = replace(sep, witness=check_disconnects(sep))
@@ -288,7 +283,7 @@ def cmd_separators(args: argparse.Namespace) -> int:
         payload = {
             "schema": SCHEMA,
             "n": n,
-            "complete": False,
+            "complete": g.is_complete,
             "kappa": kappa,
             "separators": [
                 {
@@ -302,6 +297,8 @@ def cmd_separators(args: argparse.Namespace) -> int:
             ],
         }
         print(json.dumps(payload, sort_keys=True))
+    elif g.is_complete:
+        print(f"complete graph, kappa = {kappa}; no separator exists")
     else:
         print(f"n = {n}, kappa = {kappa}")
         for s in seps:
@@ -400,10 +397,17 @@ def _sweep_row(task: tuple[int, int]) -> Report:
     )
 
 
+def _sweep_rows(tasks: list[tuple[int, int]], jobs: int) -> Iterator[Report]:
+    # the fork start method launches every worker at once, so cap them
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_sweep_row, tasks, chunksize=16)
+    else:
+        yield from map(_sweep_row, tasks)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.max_n < 2:
-        print("error: --max-n must be >= 2", file=sys.stderr)
-        return 1
     ns = sorted(set(range(2, args.max_n + 1)) | set(args.extra))
     tasks = [(n, args.oracle_max_n) for n in ns]
     # open the sink first, so an unwritable --out fails before any work
@@ -418,38 +422,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sink = sys.stdout
         summary_sink = sys.stderr
     start = time.perf_counter()
+    cases: dict[str, int] = {}
+    mismatches: list[int] = []
+    strict: list[int] = []
+    oracle_checked = 0
     try:
-        # the fork start method launches every worker at once, so cap them
-        workers = min(args.jobs, os.cpu_count() or 1, len(tasks))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_sweep_row, tasks, chunksize=16))
-        else:
-            reports = [_sweep_row(t) for t in tasks]
         if args.format == "csv":
             print(",".join(CSV_COLUMNS), file=sink)
-            for report in reports:
-                print(",".join(report.csv_row()), file=sink)
-        else:
-            for report in reports:
-                print(report.to_json(), file=sink)
+        for report in _sweep_rows(tasks, args.jobs):
+            line = ",".join(report.csv_row()) if args.format == "csv" else report.to_json()
+            print(line, file=sink)
+            cases[report.case_tag] = cases.get(report.case_tag, 0) + 1
+            if not report.agreement:
+                mismatches.append(report.n)
+            if report.bound_strict:
+                strict.append(report.n)
+            oracle_checked += report.kappa_element is not None
     finally:
         if sink is not sys.stdout:
             sink.close()
 
-    cases: dict[str, int] = {}
-    for report in reports:
-        cases[report.case_tag] = cases.get(report.case_tag, 0) + 1
-    mismatches = [r.n for r in reports if not r.agreement]
-    strict = [r.n for r in reports if r.bound_strict]
     summary = {
         "schema": SCHEMA,
         "summary": True,
-        "rows": len(reports),
+        "rows": len(tasks),
         "cases": dict(sorted(cases.items())),
         "mismatches": mismatches,
         "bound_strict": strict,
-        "oracle_checked": sum(1 for r in reports if r.kappa_element is not None),
+        "oracle_checked": oracle_checked,
         "ms_total": round((time.perf_counter() - start) * 1000.0, 1),
     }
     print(json.dumps(summary, sort_keys=True), file=summary_sink)
@@ -498,7 +498,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_ex.set_defaults(func=cmd_example2310)
 
     p_sweep = sub.add_parser("sweep", help="bulk verification over a range of n")
-    p_sweep.add_argument("--max-n", type=int, required=True)
+    p_sweep.add_argument("--max-n", type=_sweep_max_n, required=True)
     p_sweep.add_argument(
         "--oracle-max-n",
         type=int,

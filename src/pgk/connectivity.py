@@ -98,8 +98,8 @@ class _FlowNet:
     def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
         """Max flow value; may stop early once the flow reaches ``limit``.
 
-        An early stop still returns a value >= limit, so minima tracked across
-        several calls are unaffected.
+        A value below ``limit`` is the exact max flow, with the residual
+        network to match; an early stop returns a value >= limit.
         """
         flow = 0
         while limit is None or flow < limit:
@@ -193,11 +193,10 @@ def min_cut_between(g: QuotientGraph, u: int, v: int) -> tuple[int, frozenset[in
     return weight, cut
 
 
-def _source_flows(
-    g: QuotientGraph, limit: int | None
-) -> Iterator[tuple[int, int, _FlowNet, int]]:
-    # The source rule's flows as (source node, sink node, net, value), each
-    # stopped early at ``limit`` or, when that is None, at the running minimum.
+def _source_flows(g: QuotientGraph) -> Iterator[tuple[int, int, _FlowNet, int]]:
+    # The source rule's flows as (source node, sink node, net, value). Each
+    # stops at best + 1, not best, so a flow that ties the running minimum is
+    # exact and its residual network holds every one of its minimum cuts.
     universal = g.weight(1) + g.weight(g.n)  # phi(n) + 1
     best: int | None = None
     visited = 0
@@ -207,7 +206,7 @@ def _source_flows(
             if v != x and not g.adjacent(x, v):
                 net = _build_net(g)
                 t = 2 * g.index(v)
-                w = net.max_flow(s, t, limit=best if limit is None else limit)
+                w = net.max_flow(s, t, limit=None if best is None else best + 1)
                 yield s, t, net, w
                 if best is None or w < best:
                     best = w
@@ -233,34 +232,32 @@ def kappa_class(g: QuotientGraph) -> KappaResult:
     n = g.n
     if g.is_complete:
         return KappaResult(n, n - 1, "class-cut", "prime-power")
-    best = min((w for *_, w in _source_flows(g, None)), default=None)
-    if best is None:
-        raise RuntimeError(f"n={n}: a non-complete quotient has no non-adjacent pair")
+    # every class but 1 and n has a non-adjacent class, so some flow runs
+    best = min(w for *_, w in _source_flows(g))
     return KappaResult(n, best, "class-cut", case_tag_for(n))
 
 
-def tight_cuts(g: QuotientGraph, kappa: int) -> Iterator[frozenset[int]]:
-    """Every minimum x-v cut of weight kappa over the source rule's pairs.
+def min_cuts(g: QuotientGraph) -> tuple[int, set[frozenset[int]]]:
+    """kappa and every minimum x-v cut over the source rule's pairs, in one pass.
 
-    Runs the flows of ``kappa_class``, each up to kappa + 1, and for each
-    flow of value kappa yields the classes cut by every residual-closed side
-    (``_FlowNet.cut_sides``); a cut may come more than once. Once a flow
-    reaches kappa the stopping test is the source rule's at kappa. Raises
-    ValueError if a flow falls below kappa or none reaches it: either way
-    kappa is not the connectivity.
+    Runs the flows of ``kappa_class`` once, keeps the nets of the flows that
+    tie the running minimum (dropping them when it falls), and lists the
+    classes cut by every residual-closed side (``_FlowNet.cut_sides``) of
+    the flows left at the end, whose value is kappa.
     """
     if g.is_complete:
         raise ValueError("complete quotient has no separator; kappa = n - 1")
-    tight = False
-    for s, t, net, w in _source_flows(g, kappa + 1):
-        if w < kappa:
-            raise ValueError(f"n={g.n}: a cut weighs {w} < {kappa}; kappa is not the connectivity")
-        if w == kappa:
-            tight = True
-            for side in net.cut_sides(s, t):
-                yield _cut_classes(g, side)
-    if not tight:
-        raise ValueError(f"n={g.n}: no cut weighs {kappa}; kappa is not the connectivity")
+    best: int | None = None
+    tight: list[tuple[int, int, _FlowNet]] = []
+    for s, t, net, w in _source_flows(g):
+        if best is None or w < best:
+            best, tight = w, []
+        if w == best:
+            tight.append((s, t, net))
+    if best is None:
+        raise RuntimeError(f"n={g.n}: a non-complete quotient has no non-adjacent pair")
+    cuts = {_cut_classes(g, side) for s, t, net in tight for side in net.cut_sides(s, t)}
+    return best, cuts
 
 
 def witness_problems(g: QuotientGraph, w: SeparationWitness) -> list[str]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from math import prod
 
 from .arith import Factorization, alpha_beta, divisors, factorize, totient
-from .connectivity import SeparationWitness, tight_cuts
+from .connectivity import SeparationWitness, min_cuts
 from .formulas import classify
 from .quotient import QuotientGraph, build_quotient, components_without
 
@@ -160,27 +160,29 @@ def check_disconnects(s: ClassSeparator) -> SeparationWitness:
     )
 
 
-def enumerate_min_separators(g: QuotientGraph, kappa: int) -> list[ClassSeparator]:
-    """Every minimum separator of P(C_n), given its connectivity kappa.
+def enumerate_min_separators(g: QuotientGraph) -> list[ClassSeparator]:
+    """Every minimum separator of P(C_n), from one pass of the source rule.
 
     Each result weighs kappa, contains the universal classes 1 and n,
     carries a verified witness, and is labelled Z(r, k) when it coincides
     with a layer set. Output is lexicographic by divisor set. Raises
-    ValueError when kappa is not the connectivity.
+    ValueError for a complete quotient, which has no separator.
 
-    Proof sketch that every minimum separator is a tight x-v cut: let S be
-    one. The source rule of ``kappa_class``, stopped at kappa, visits some x
-    outside S, and S separates x from a class v in another component, so v
-    is not adjacent to x. Every x-v separator weighs at least
-    cut(x, v) >= kappa = w(S), so S is a minimum x-v cut and the x-v flow
-    is tight. In the split network the minimum x-v vertex cuts are the
-    minimum arc cuts (the adjacency arcs are never cut), and those are
-    exactly the residual-closed source sides of one max flow (Picard and
-    Queyranne 1980). Conversely each such cut weighs kappa and separates x
-    from v. So the tight cuts over the visited pairs, deduplicated, are the
-    minimum separators.
+    Proof sketch that every minimum separator is a tight x-v cut: when the
+    source rule of ``kappa_class`` stops, its running minimum best is kappa.
+    Let S be a minimum separator. The rule visits some x outside S, and S
+    separates x from a class v in another component, so v is not adjacent
+    to x. Every x-v separator weighs at least cut(x, v) >= kappa = w(S), so
+    S is a minimum x-v cut and cut(x, v) = kappa. That flow ran with a limit
+    above the running minimum then, which was at least kappa, so it was
+    exact and ties best at the end. In the split network the minimum x-v
+    vertex cuts are the minimum arc cuts (the adjacency arcs are never cut),
+    and those are exactly the residual-closed source sides of one max flow
+    (Picard and Queyranne 1980). Conversely each such cut weighs kappa and
+    separates x from v. So the cuts of the flows that tie best at the end,
+    deduplicated, are the minimum separators.
     """
-    found = set(tight_cuts(g, kappa))
+    kappa, found = min_cuts(g)
     f = factorize(g.n)
     z_labels = {
         frozenset(build_Z(f, k).classes): f"Z({f.r},{k})"

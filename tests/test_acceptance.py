@@ -132,17 +132,19 @@ def test_criterion_4_minimum_separator_counts(kappa_table):
     for n in case_i_all:
         f = factorize(n)
         g = build_quotient(n)
-        seps = enumerate_min_separators(g, kappa_table[n])
+        seps = enumerate_min_separators(g)
         expected = build_Z(f, f.exponents[-1] - 1).classes
         assert len(seps) == 1, f"n={n}: expected a unique minimum separator"
+        assert seps[0].weight == kappa_table[n], n
         assert seps[0].classes == expected, f"n={n}: separator is not the top layer set"
 
     for n in (12, 18, 24, 36, 48, 72, 108, 144):
         f = factorize(n)
         g = build_quotient(n)
-        seps = enumerate_min_separators(g, kappa_table[n])
+        seps = enumerate_min_separators(g)
         e2 = f.exponents[-1]
         assert len(seps) == e2, f"n={n}: expected exactly {e2} minimum separators"
+        assert all(s.weight == kappa_table[n] for s in seps), n
         assert {s.classes for s in seps} == {
             frozenset(build_Z(f, k).classes) for k in range(e2)
         }, f"n={n}: separators are not the Z(2, k) family"
@@ -150,9 +152,10 @@ def test_criterion_4_minimum_separator_counts(kappa_table):
     for n in (30, 60, 90, 120, 150, 300):
         f = factorize(n)
         g = build_quotient(n)
-        seps = enumerate_min_separators(g, kappa_table[n])
+        seps = enumerate_min_separators(g)
         assert len(seps) == 1, f"n={n}: expected a unique minimum separator"
         assert seps[0].classes == build_Z(f, 0).classes, f"n={n}: not Z(3, 0)"
+        assert seps[0].weight == kappa_table[n], n
 
     _passed(
         "criterion 4 (separator counts)",
@@ -168,7 +171,7 @@ def test_criterion_4b_separators_in_the_case_ii_bound_regime(kappa_table):
     assert len(regime) == 81
     for n in regime + [2310]:
         g = build_quotient(n)
-        seps = enumerate_min_separators(g, kappa_table[n])
+        seps = enumerate_min_separators(g)
         # one minimum separator each, as computed; the paper leaves this open
         assert len(seps) == 1, f"n={n}: {len(seps)} minimum separators"
         (sep,) = seps

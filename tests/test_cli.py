@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from pgk import SeparationWitness, build_quotient, verify_witness
-from pgk.cli import CSV_COLUMNS, Report, build_report, main
+from pgk import SeparationWitness, build_quotient, kappa_class, verify_witness
+from pgk.cli import CSV_COLUMNS, Report, _sweep_max_n, build_report, main
+from pgk.connectivity import _FlowNet
 
 
 def run(capsys, *argv):
@@ -179,6 +180,24 @@ def test_separators_all_min_past_old_guard(capsys):
         assert verify_witness(g, witness)
 
 
+@pytest.mark.parametrize("n", [36, 1944, 2310])
+def test_separators_all_min_runs_the_flows_once(capsys, monkeypatch, n):
+    # --all-min takes kappa from its own flows; it runs no second pass
+    calls = []
+    max_flow = _FlowNet.max_flow
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return max_flow(self, *args, **kwargs)
+
+    monkeypatch.setattr(_FlowNet, "max_flow", counted)
+    kappa_class(build_quotient(n))
+    alone = len(calls)
+    calls.clear()
+    assert run(capsys, "separators", str(n), "--all-min", "--json")[0] == 0
+    assert len(calls) == alone > 0
+
+
 # --- bound and the 2310 certificate ----------------------------------------------
 
 
@@ -299,10 +318,31 @@ def test_sweep_jobs_capped(capsys, monkeypatch):
     assert seen == [4, 2]  # 19 tasks on 4 CPUs; 2 tasks; no CPU count runs serially
 
 
-def test_sweep_bad_range(capsys):
-    code, _, err = run(capsys, "sweep", "--max-n", "1")
-    assert code == 1
-    assert "--max-n" in err
+def test_sweep_bad_range(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("no row may be computed")
+
+    monkeypatch.setattr("pgk.cli.build_report", never)
+    for value in ("1", "1000001"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--max-n", value])
+        assert exc.value.code == 1
+        assert "--max-n must be in [2, 10**6]" in capsys.readouterr().err
+    assert _sweep_max_n("1000000") == 10**6
+
+
+def test_sweep_streams_rows(capsys, monkeypatch):
+    # each row is printed as soon as it is computed, not after the last one
+    def stop_at_5(n, **kwargs):
+        if n == 5:
+            raise RuntimeError("stop")
+        return build_report(n, **kwargs)
+
+    monkeypatch.setattr("pgk.cli.build_report", stop_at_5)
+    with pytest.raises(RuntimeError, match="stop"):
+        main(["sweep", "--max-n", "10"])
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["n"] for row in rows] == [2, 3, 4]
 
 
 def test_sweep_unwritable_out(tmp_path, capsys, monkeypatch):

@@ -9,10 +9,12 @@ from pgk import (
     build_quotient,
     build_Z,
     components_without,
+    enumerate_min_separators,
     factorize,
     kappa_class,
     min_cut_between,
     size_Z_formula,
+    verify_witness,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -57,6 +59,18 @@ def test_kappa_at_most_the_minimum_degree(n):
         for d, w in zip(g.divisors, g.weights)
     )
     assert kappa_class(g).kappa <= degree
+
+
+@settings(max_examples=100, deadline=None)
+@given(composite)
+def test_enumerated_separators_are_verified_minima(n):
+    g = build_quotient(n)
+    seps = enumerate_min_separators(g)
+    kappa = kappa_class(g).kappa
+    assert seps
+    for s in seps:
+        assert s.weight == kappa == sum(g.weight(d) for d in s.classes)
+        assert s.witness is not None and verify_witness(g, s.witness)
 
 
 def test_no_assert_statements_in_the_package():

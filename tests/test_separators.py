@@ -12,7 +12,6 @@ from pgk import (
     example_2310,
     expand_to_elements,
     factorize,
-    kappa_class,
     kappa_formula,
     optimal_Z,
     size_Z_formula,
@@ -20,6 +19,8 @@ from pgk import (
     upper_bound_ii,
     verify_witness,
 )
+
+from test_connectivity import kappa_all_pairs
 
 
 @pytest.mark.parametrize(
@@ -220,9 +221,12 @@ def enumerate_by_subsets(g, kappa):
 
 
 def enumerate_for(n):
+    # kappa from the unpruned pair loop, independent of the source rule
     g = build_quotient(n)
-    kappa = kappa_class(g).kappa
-    return kappa, enumerate_min_separators(g, kappa)
+    kappa = kappa_all_pairs(g)
+    seps = enumerate_min_separators(g)
+    assert all(s.weight == kappa for s in seps), n
+    return kappa, seps
 
 
 def test_enumeration_36():
@@ -274,15 +278,6 @@ def test_enumeration_matches_subset_search():
         assert [tuple(sorted(s.classes)) for s in seps] == enumerate_by_subsets(g, kappa), n
 
 
-def test_enumeration_rejects_wrong_kappa():
-    g = build_quotient(12)  # kappa = 6
-    with pytest.raises(ValueError, match="not the connectivity"):
-        enumerate_min_separators(g, 7)
-    with pytest.raises(ValueError, match="not the connectivity"):
-        enumerate_min_separators(g, 5)
-    assert len(enumerate_min_separators(g, 6)) == 1
-
-
 def test_enumeration_rejects_complete_graph():
     with pytest.raises(ValueError):
-        enumerate_min_separators(build_quotient(9), 8)
+        enumerate_min_separators(build_quotient(9))
