@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from .arith import factorize, totient
 from .connectivity import kappa_class, verify_witness
-from .element_oracle import element_guard, kappa_element_oracle
+from .element_oracle import MAX_ELEMENT_N, element_guard, kappa_element_oracle
 from .formulas import CASE_II_BOUND, R3_EXACT, classify, kappa_formula, upper_bound_ii
 from .quotient import build_quotient
 from .separators import (
@@ -236,10 +236,26 @@ def _sweep_max_n(text: str) -> int:
     return value
 
 
+def _oracle_max_n(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= MAX_ELEMENT_N:
+        raise argparse.ArgumentTypeError(
+            f"--oracle-max-n must be in [0, {MAX_ELEMENT_N}], got {value}"
+        )
+    return value
+
+
 def cmd_kappa(args: argparse.Namespace) -> int:
     n = args.n
     use_element = args.method in ("element", "both")
     if use_element:
+        if n > MAX_ELEMENT_N:
+            print(
+                f"error: n={n} exceeds the element-oracle ceiling {MAX_ELEMENT_N}, "
+                "which neither --force nor PGK_ELEMENT_GUARD lifts",
+                file=sys.stderr,
+            )
+            return 1
         try:
             guard = element_guard()
         except ValueError as exc:
@@ -501,7 +517,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--max-n", type=_sweep_max_n, required=True)
     p_sweep.add_argument(
         "--oracle-max-n",
-        type=int,
+        type=_oracle_max_n,
         default=0,
         help="also run the element oracle for n up to this value (0 = never)",
     )

@@ -77,6 +77,23 @@ def test_kappa_bad_element_guard_exits_1(capsys, monkeypatch):
     assert "PGK_ELEMENT_GUARD" in err
 
 
+def test_kappa_above_the_oracle_ceiling_exits_1(capsys, monkeypatch):
+    def never(n):
+        raise AssertionError("no adjacency may be built above the ceiling")
+
+    monkeypatch.setattr("pgk.element_oracle.element_adjacency", never)
+    monkeypatch.setenv("PGK_ELEMENT_GUARD", str(10**12))
+    for argv in (
+        ["kappa", "5001", "--method", "element", "--force"],
+        ["kappa", "5001", "--method", "both"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "ceiling 5000" in err
+
+
 def test_kappa_mismatch_exits_2(capsys, monkeypatch):
     rigged = Report(     # impossible numbers, only to exercise the exit contract
         n=6,
@@ -329,6 +346,18 @@ def test_sweep_bad_range(capsys, monkeypatch):
         assert exc.value.code == 1
         assert "--max-n must be in [2, 10**6]" in capsys.readouterr().err
     assert _sweep_max_n("1000000") == 10**6
+
+
+def test_sweep_oracle_max_n_is_bounded_by_the_ceiling(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("no row may be computed")
+
+    monkeypatch.setattr("pgk.cli.build_report", never)
+    for value in ("-1", "5001"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--max-n", "10", "--oracle-max-n", value])
+        assert exc.value.code == 1
+        assert "--oracle-max-n must be in [0, 5000]" in capsys.readouterr().err
 
 
 def test_sweep_streams_rows(capsys, monkeypatch):

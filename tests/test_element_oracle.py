@@ -3,16 +3,43 @@
 The oracle is itself validated here against exhaustive subset removal -- for
 small n, literally every vertex subset below the reported connectivity is
 checked not to disconnect the graph, and some subset of exactly that size is
-found that does. The representative-pair reduction is additionally compared
-against the unreduced all-pairs flow loop.
+found that does. Its source rule is additionally compared against the two
+unpruned pair loops it replaced, kept here as references: one over every
+vertex pair, one over every pair of twin-class representatives.
 """
 
 from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import maximum_flow
 
 from pgk import element_adjacency, element_guard, kappa_element_oracle
+from pgk.element_oracle import MAX_ELEMENT_N, _source_rule_kappa, _split_network
+
+
+def _neighbourhood_class_reps(adj: np.ndarray) -> list[int]:
+    """One representative per closed-neighbourhood class, smallest-index first."""
+    closed = adj.copy()
+    np.fill_diagonal(closed, True)
+    _, first = np.unique(closed, axis=0, return_index=True)
+    return sorted(int(i) for i in first)
+
+
+def kappa_pair_loop(adj: np.ndarray, twin_reduction: bool = True) -> int:
+    """The unpruned reference: the minimum flow over every non-adjacent pair
+    of twin-class representatives, or with twin_reduction=False of vertices."""
+    n = adj.shape[0]
+    if int(adj.sum()) == n * (n - 1):
+        return max(n - 1, 0)
+    candidates = _neighbourhood_class_reps(adj) if twin_reduction else list(range(n))
+    network = _split_network(adj)
+    return min(
+        int(maximum_flow(network, n + u, v).flow_value)
+        for i, u in enumerate(candidates)
+        for v in candidates[i + 1 :]
+        if not adj[u, v]
+    )
 
 
 def brute_force_kappa(n: int) -> int:
@@ -69,9 +96,43 @@ def test_oracle_matches_exhaustive_subset_removal():
 
 def test_reduced_and_unreduced_pair_loops_agree():
     for n in range(2, 49):
-        reduced = kappa_element_oracle(n).kappa
-        full = kappa_element_oracle(n, twin_reduction=False).kappa
-        assert reduced == full, n
+        adj = element_adjacency(n)
+        full = kappa_pair_loop(adj, twin_reduction=False)
+        assert kappa_element_oracle(n).kappa == kappa_pair_loop(adj) == full, n
+
+
+def test_source_rule_matches_twin_pair_loop():
+    for n in list(range(1, 121)) + [210, 270, 330]:
+        assert kappa_element_oracle(n).kappa == kappa_pair_loop(element_adjacency(n)), n
+
+
+def test_source_rule_on_graphs_with_twins():
+    # On every power graph up to 700 the first class visited already stops
+    # the loop, so the stopping test is exercised here instead: dense random
+    # graphs whose vertices are blown up into twin cliques of 1-4 vertices.
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        k = int(rng.integers(4, 9))
+        base = np.triu(rng.random((k, k)) < rng.uniform(0.6, 0.95), 1)
+        base |= base.T
+        blob = np.repeat(np.arange(k), rng.integers(1, 5, size=k))
+        adj = (base | np.eye(k, dtype=bool))[np.ix_(blob, blob)]
+        np.fill_diagonal(adj, False)
+        assert _source_rule_kappa(adj) == kappa_pair_loop(adj)
+
+
+@pytest.mark.parametrize("n, kappa, flows", [(210, 70, 7), (270, 108, 7)])
+def test_source_rule_flow_count(monkeypatch, n, kappa, flows):
+    # the twin-representative pair loop runs 55 flows at 210 and 46 at 270
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return maximum_flow(*args, **kwargs)
+
+    monkeypatch.setattr("pgk.element_oracle.maximum_flow", counted)
+    assert kappa_element_oracle(n).kappa == kappa
+    assert len(calls) == flows
 
 
 def test_oracle_complete_graphs():
@@ -94,6 +155,20 @@ def test_guard_default_and_overrides(monkeypatch):
     monkeypatch.setenv("PGK_ELEMENT_GUARD", "abc")
     with pytest.raises(ValueError, match="PGK_ELEMENT_GUARD"):
         element_guard()
+
+
+def test_ceiling_is_not_lifted_by_any_override(monkeypatch):
+    def never(n):
+        raise AssertionError("no adjacency may be built above the ceiling")
+
+    monkeypatch.setattr("pgk.element_oracle.element_adjacency", never)
+    assert MAX_ELEMENT_N == 5000
+    for n in (MAX_ELEMENT_N + 1, 10**12):
+        with pytest.raises(ValueError, match="ceiling"):
+            kappa_element_oracle(n, max_n=10**12)
+    monkeypatch.setenv("PGK_ELEMENT_GUARD", str(10**12))
+    with pytest.raises(ValueError, match="ceiling"):
+        kappa_element_oracle(MAX_ELEMENT_N + 1)
 
 
 def test_oracle_rejects_zero():

@@ -1,4 +1,5 @@
-"""Property tests over random n, and a lint that keeps asserts out of src/pgk."""
+"""Property tests over random n, a lint that keeps asserts out of src/pgk, and
+one that keeps the element oracle independent of the class route."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,18 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_element_oracle_imports_nothing_of_the_class_route():
+    # the oracle cross-checks the class cut, so it may share no graph, flow
+    # or divisor code with it: only the result type and the case tag
+    tree = ast.parse((SRC / "element_oracle.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.startswith("pgk")}
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module.startswith("pgk"):
+                imported |= {f"{module}.{a.name}" for a in node.names}
+    assert imported == {".connectivity.KappaResult", ".connectivity.case_tag_for"}
