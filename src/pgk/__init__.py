@@ -19,7 +19,7 @@ from .connectivity import (
     verify_witness,
     witness_problems,
 )
-from .element_oracle import element_adjacency, element_guard, kappa_element_oracle
+from .element_oracle import element_adjacency, kappa_element_oracle
 from .formulas import (
     CASE_I,
     CASE_II_BOUND,
@@ -76,7 +76,6 @@ __all__ = [
     "witness_problems",
     "case_tag_for",
     "element_adjacency",
-    "element_guard",
     "CaseTag",
     "classify",
     "kappa_formula",

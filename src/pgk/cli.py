@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from .arith import factorize, totient
 from .connectivity import kappa_class, verify_witness
-from .element_oracle import MAX_ELEMENT_N, element_guard, kappa_element_oracle
+from .element_oracle import MAX_ELEMENT_N, kappa_element_oracle
 from .formulas import CASE_II_BOUND, R3_EXACT, classify, kappa_formula, upper_bound_ii
 from .quotient import build_quotient
 from .separators import (
@@ -149,7 +149,7 @@ class Report:
         ]
 
 
-def build_report(n: int, *, use_element: bool = False, element_max_n: int | None = None) -> Report:
+def build_report(n: int, *, use_element: bool = False) -> Report:
     """Compute everything known about n and package the agreement verdict."""
     start = time.perf_counter()
     f = factorize(n)
@@ -158,9 +158,7 @@ def build_report(n: int, *, use_element: bool = False, element_max_n: int | None
     bound = upper_bound_ii(f) if c.tag in (CASE_II_BOUND, R3_EXACT) else None
     result = kappa_class(build_quotient(n))
     computed = result.kappa
-    element = (
-        kappa_element_oracle(n, max_n=element_max_n).kappa if use_element else None
-    )
+    element = kappa_element_oracle(n).kappa if use_element else None
     agreement = (
         (formula is None or formula == computed)
         and (element is None or element == computed)
@@ -248,28 +246,13 @@ def _oracle_max_n(text: str) -> int:
 def cmd_kappa(args: argparse.Namespace) -> int:
     n = args.n
     use_element = args.method in ("element", "both")
-    if use_element:
-        if n > MAX_ELEMENT_N:
-            print(
-                f"error: n={n} exceeds the element-oracle ceiling {MAX_ELEMENT_N}, "
-                "which neither --force nor PGK_ELEMENT_GUARD lifts",
-                file=sys.stderr,
-            )
-            return 1
-        try:
-            guard = element_guard()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if n > guard and not args.force:
-            print(
-                f"error: n={n} exceeds the element-oracle guard {guard}; "
-                "use --force or PGK_ELEMENT_GUARD",
-                file=sys.stderr,
-            )
-            return 1
-    element_max = n if (use_element and args.force) else None
-    report = build_report(n, use_element=use_element, element_max_n=element_max)
+    if use_element and n > MAX_ELEMENT_N:
+        print(
+            f"error: n={n} exceeds the element-oracle ceiling {MAX_ELEMENT_N}",
+            file=sys.stderr,
+        )
+        return 1
+    report = build_report(n, use_element=use_element)
     if args.method == "element":
         if report.kappa_element is None:
             raise RuntimeError(f"n={n}: the element oracle did not run")
@@ -407,10 +390,7 @@ def cmd_example2310(args: argparse.Namespace) -> int:
 
 def _sweep_row(task: tuple[int, int]) -> Report:
     n, oracle_max = task
-    # an explicit --oracle-max-n overrides the default element-oracle guard
-    return build_report(
-        n, use_element=n <= oracle_max, element_max_n=oracle_max or None
-    )
+    return build_report(n, use_element=n <= oracle_max)
 
 
 def _sweep_rows(tasks: list[tuple[int, int]], jobs: int) -> Iterator[Report]:
@@ -485,9 +465,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--method", choices=("class", "element", "both"), default="class"
     )
     p_kappa.add_argument("--json", action="store_true")
-    p_kappa.add_argument(
-        "--force", action="store_true", help="override the element-oracle size guard"
-    )
     p_kappa.set_defaults(func=cmd_kappa)
 
     p_sep = sub.add_parser("separators", help="minimum separators of P(C_n)")

@@ -211,6 +211,8 @@ def _source_flows(g: QuotientGraph) -> Iterator[tuple[int, int, _FlowNet, int]]:
                 if best is None or w < best:
                     best = w
         visited += g.weight(x)
+        # not >=: min_cuts needs a visited class outside every minimum
+        # separator, and >= could stop on exactly one separator's classes
         if best is not None and visited > best - universal:
             break
 

@@ -19,14 +19,12 @@ it replaced. The test suite checks the oracle against that loop, against the
 loop over every vertex pair, and against exhaustive removal of every vertex
 subset at small n.
 
-The dense n x n matrices are guarded by default at n <= 600; the
-PGK_ELEMENT_GUARD environment variable or an explicit ``max_n`` raises the
-guard, but never past ``MAX_ELEMENT_N``.
+The oracle's one size limit is ``MAX_ELEMENT_N``; nothing lifts it. On the
+same machine the slowest n measured below it, 4620, takes about 25 s, and
+n = 5000 about 12 s.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -34,19 +32,9 @@ from scipy.sparse.csgraph import maximum_flow
 
 from .connectivity import KappaResult, case_tag_for
 
-DEFAULT_GUARD = 600
-#: Hard ceiling on n, which no guard override lifts: near it the oracle's
-#: peak memory reaches 1.3 GB (n = 4954, twice a prime).
+#: The only limit on n: near it the oracle's peak memory reaches 1.3 GB
+#: (n = 4954, twice a prime).
 MAX_ELEMENT_N = 5000
-
-
-def element_guard() -> int:
-    """Current size guard: PGK_ELEMENT_GUARD if set, else 600."""
-    raw = os.environ.get("PGK_ELEMENT_GUARD", str(DEFAULT_GUARD))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"PGK_ELEMENT_GUARD must be an integer, got {raw!r}") from None
 
 
 def element_adjacency(n: int) -> np.ndarray:
@@ -99,15 +87,18 @@ def _source_rule_kappa(adj: np.ndarray) -> int:
     (closed-neighbourhood) classes heaviest first, ties to the smallest
     member, run a flow from each class's smallest member x to the smallest
     member v of every class not adjacent to it, and stop once the visited
-    size exceeds best - #universal, best being the running minimum.
+    size reaches best - #universal, best being the running minimum.
 
     Proof sketch: a minimum separator S contains every universal vertex. S
     is a union of whole twin classes, because a twin left outside S would
-    join two components. So S's other classes weigh at most
-    best - #universal, and some visited class lies wholly outside S (or
-    every class was visited, while S leaves two). Its member x has a
-    non-adjacent v, the smallest member of a class in another component, and
-    the x-v flow is at most |S| = kappa.
+    join two components. If a visited class lies wholly outside S, its
+    member x has a non-adjacent v, the smallest member of a class in another
+    component, and the x-v flow is at most |S| = kappa. Suppose the loop
+    stops with best > kappa. Then no visited class lies outside S, so the
+    visited set lies inside S minus the universal vertices and weighs at
+    most kappa - #universal < best - #universal, which contradicts the stop.
+    If instead the loop runs out of classes, S holds every vertex, which is
+    impossible.
     """
     n = adj.shape[0]
     universal = adj.sum(axis=1) == n - 1
@@ -129,30 +120,20 @@ def _source_rule_kappa(adj: np.ndarray) -> int:
             if v != x and not adj[x, v]:
                 best = min(best, int(maximum_flow(network, n + x, v).flow_value))
         visited += size
-        if visited > best - n_universal:
+        if visited >= best - n_universal:
             break
     return best
 
 
-def kappa_element_oracle(n: int, max_n: int | None = None) -> KappaResult:
+def kappa_element_oracle(n: int) -> KappaResult:
     """Exact kappa(P(C_n)) by flows on the full n-vertex power graph, picked
     by the source rule (``_source_rule_kappa``).
 
-    Raises if n exceeds ``MAX_ELEMENT_N``, or the size guard (see
-    ``element_guard``) unless ``max_n`` explicitly overrides it.
+    Raises ValueError unless 1 <= n <= ``MAX_ELEMENT_N``.
     """
-    if n > MAX_ELEMENT_N:
-        raise ValueError(
-            f"n={n} exceeds the element-oracle ceiling {MAX_ELEMENT_N}, "
-            "which no override lifts"
-        )
-    guard = element_guard() if max_n is None else max_n
-    if n > guard:
-        raise ValueError(
-            f"n={n} exceeds the element-oracle guard {guard}; "
-            "pass max_n or set PGK_ELEMENT_GUARD to override"
-        )
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    if n > MAX_ELEMENT_N:
+        raise ValueError(f"n={n} exceeds the element-oracle ceiling {MAX_ELEMENT_N}")
     kappa = _source_rule_kappa(element_adjacency(n))
     return KappaResult(n, kappa, "element-oracle", case_tag_for(n))

@@ -58,23 +58,20 @@ def test_kappa_method_both(capsys):
     assert data["kappa_element"] == 6
 
 
-def test_kappa_element_guard_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("PGK_ELEMENT_GUARD", "10")
-    code, _, err = run(capsys, "kappa", "12", "--method", "element")
-    assert code == 1
-    assert "guard" in err
-    code, out, _ = run(capsys, "kappa", "12", "--method", "element", "--force", "--json")
+def test_kappa_element_runs_above_600(capsys):
+    # 601 is prime, so the graph is complete and cheap
+    code, out, _ = run(capsys, "kappa", "601", "--method", "element", "--json")
     assert code == 0
-    assert json.loads(out)["kappa_computed"] == 6
+    assert json.loads(out)["kappa_computed"] == 600
 
 
-def test_kappa_bad_element_guard_exits_1(capsys, monkeypatch):
-    monkeypatch.setenv("PGK_ELEMENT_GUARD", "abc")
-    code, out, err = run(capsys, "kappa", "12", "--method", "element")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "PGK_ELEMENT_GUARD" in err
+def test_kappa_force_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kappa", "12", "--method", "element", "--force"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --force" in captured.err
 
 
 def test_kappa_above_the_oracle_ceiling_exits_1(capsys, monkeypatch):
@@ -82,9 +79,8 @@ def test_kappa_above_the_oracle_ceiling_exits_1(capsys, monkeypatch):
         raise AssertionError("no adjacency may be built above the ceiling")
 
     monkeypatch.setattr("pgk.element_oracle.element_adjacency", never)
-    monkeypatch.setenv("PGK_ELEMENT_GUARD", str(10**12))
     for argv in (
-        ["kappa", "5001", "--method", "element", "--force"],
+        ["kappa", "5001", "--method", "element"],
         ["kappa", "5001", "--method", "both"],
     ):
         code, out, err = run(capsys, *argv)

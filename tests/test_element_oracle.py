@@ -1,4 +1,4 @@
-"""Element-level oracle: definitional brute force agreement and guards.
+"""Element-level oracle: definitional brute force agreement and its ceiling.
 
 The oracle is itself validated here against exhaustive subset removal -- for
 small n, literally every vertex subset below the reported connectivity is
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import maximum_flow
 
-from pgk import element_adjacency, element_guard, kappa_element_oracle
+from pgk import element_adjacency, kappa_element_oracle
 from pgk.element_oracle import MAX_ELEMENT_N, _source_rule_kappa, _split_network
 
 
@@ -121,9 +121,9 @@ def test_source_rule_on_graphs_with_twins():
         assert _source_rule_kappa(adj) == kappa_pair_loop(adj)
 
 
-@pytest.mark.parametrize("n, kappa, flows", [(210, 70, 7), (270, 108, 7)])
-def test_source_rule_flow_count(monkeypatch, n, kappa, flows):
-    # the twin-representative pair loop runs 55 flows at 210 and 46 at 270
+@pytest.fixture
+def flow_calls(monkeypatch):
+    """The argument tuples of every ``maximum_flow`` call the oracle makes."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -131,30 +131,31 @@ def test_source_rule_flow_count(monkeypatch, n, kappa, flows):
         return maximum_flow(*args, **kwargs)
 
     monkeypatch.setattr("pgk.element_oracle.maximum_flow", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, kappa, flows", [(210, 70, 7), (270, 108, 7)])
+def test_source_rule_flow_count(flow_calls, n, kappa, flows):
+    # the twin-representative pair loop runs 55 flows at 210 and 46 at 270
     assert kappa_element_oracle(n).kappa == kappa
-    assert len(calls) == flows
+    assert len(flow_calls) == flows
+
+
+def test_source_rule_stops_when_visited_reaches_the_bound(flow_calls):
+    # The 4-cycle has no universal vertex and four one-vertex twin classes.
+    # The flows from 0 and 1 give best = 2, and the visited size 2 reaches
+    # it, so the flow from 2 is skipped (stopping only above best runs 3).
+    adj = np.array(
+        [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=bool
+    )
+    assert _source_rule_kappa(adj) == 2
+    assert len(flow_calls) == 2
 
 
 def test_oracle_complete_graphs():
     for n in (1, 2, 13, 16, 27):
         assert kappa_element_oracle(n).kappa == max(n - 1, 0)
     assert kappa_element_oracle(8).case_tag == "prime-power"
-
-
-def test_guard_default_and_overrides(monkeypatch):
-    assert element_guard() == 600
-    with pytest.raises(ValueError):
-        kappa_element_oracle(601)
-    # explicit override wins; 601 is prime, so the graph is complete and cheap
-    assert kappa_element_oracle(601, max_n=601).kappa == 600
-    monkeypatch.setenv("PGK_ELEMENT_GUARD", "10")
-    assert element_guard() == 10
-    with pytest.raises(ValueError):
-        kappa_element_oracle(12)
-    assert kappa_element_oracle(12, max_n=12).kappa == 6
-    monkeypatch.setenv("PGK_ELEMENT_GUARD", "abc")
-    with pytest.raises(ValueError, match="PGK_ELEMENT_GUARD"):
-        element_guard()
 
 
 def test_ceiling_is_not_lifted_by_any_override(monkeypatch):
@@ -165,10 +166,7 @@ def test_ceiling_is_not_lifted_by_any_override(monkeypatch):
     assert MAX_ELEMENT_N == 5000
     for n in (MAX_ELEMENT_N + 1, 10**12):
         with pytest.raises(ValueError, match="ceiling"):
-            kappa_element_oracle(n, max_n=10**12)
-    monkeypatch.setenv("PGK_ELEMENT_GUARD", str(10**12))
-    with pytest.raises(ValueError, match="ceiling"):
-        kappa_element_oracle(MAX_ELEMENT_N + 1)
+            kappa_element_oracle(n)
 
 
 def test_oracle_rejects_zero():

@@ -1,5 +1,5 @@
-"""Property tests over random n, a lint that keeps asserts out of src/pgk, and
-one that keeps the element oracle independent of the class route."""
+"""Property tests over random n, and lints on src/pgk: no asserts, no
+environment variables, and an element oracle independent of the class route."""
 
 import ast
 from pathlib import Path
@@ -98,3 +98,26 @@ def test_element_oracle_imports_nothing_of_the_class_route():
             if node.level or module.startswith("pgk"):
                 imported |= {f"{module}.{a.name}" for a in node.names}
     assert imported == {".connectivity.KappaResult", ".connectivity.case_tag_for"}
+
+
+def test_no_environment_variable_is_read_in_the_package():
+    # every setting is an argument or an option, so none can hide in the
+    # environment (a size knob there would bypass the option checks)
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in names
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(a.name in names for a in node.names)
+        )
+    ]
+    assert found == []
