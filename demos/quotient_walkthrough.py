@@ -22,9 +22,9 @@ g = build_quotient(n)
 
 print(f"n = {n}: the power graph has {n} vertices, but only {len(g.divisors)}")
 print("kinds of vertex -- one per divisor (element order), weighted by phi:")
-for cls in g.classes:
-    members = sorted(expand_to_elements(n, {cls.d}))
-    print(f"  order {cls.d:>2}: {cls.weight} element(s) {members}")
+for d, weight in zip(g.divisors, g.weights):
+    members = sorted(expand_to_elements(n, {d}))
+    print(f"  order {d:>2}: {weight} element(s) {members}")
 
 print("\nClasses are adjacent when one order divides the other, e.g.")
 print(f"  4 ~ 12: {g.adjacent(4, 12)},   4 ~ 6: {g.adjacent(4, 6)}")

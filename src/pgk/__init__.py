@@ -9,11 +9,10 @@ verified disconnection witnesses, and lists every minimum separator from the
 tight flows of the class cut.
 """
 
-from .arith import Factorization, alpha_beta, cofree_divisor, divisors, factorize, totient
+from .arith import Factorization, alpha_beta, divisors, factorize, totient
 from .connectivity import (
     KappaResult,
     SeparationWitness,
-    case_tag_for,
     kappa_class,
     min_cut_between,
     verify_witness,
@@ -35,7 +34,6 @@ from .formulas import (
     upper_bound_ii,
 )
 from .quotient import (
-    DivisorClass,
     QuotientGraph,
     build_quotient,
     components_without,
@@ -59,9 +57,7 @@ __all__ = [
     "factorize",
     "totient",
     "divisors",
-    "cofree_divisor",
     "alpha_beta",
-    "DivisorClass",
     "QuotientGraph",
     "build_quotient",
     "subgroup_classes",
@@ -74,7 +70,6 @@ __all__ = [
     "min_cut_between",
     "verify_witness",
     "witness_problems",
-    "case_tag_for",
     "element_adjacency",
     "CaseTag",
     "classify",

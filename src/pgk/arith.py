@@ -1,9 +1,8 @@
 """Exact integer arithmetic underlying the divisor-class model.
 
 Plain number theory only: prime-power factorization by trial division,
-Euler's totient, divisor enumeration, and the two derived integer families
-used by the separator constructions (cofree divisors n / (p_i1 * ... * p_ik),
-and the alpha/beta ladder built from the largest prime factor).
+Euler's totient, divisor enumeration, and the alpha/beta ladder built from
+the largest prime factor, which the separator constructions use.
 
 Python integers never overflow, so there is no wraparound to defend against;
 bad inputs are rejected up front instead (every operation requires n >= 1).
@@ -108,22 +107,6 @@ def divisors(n: int) -> list[int]:
         divs = [d * p**k for d in divs for k in range(e + 1)]
     divs.sort()
     return divs
-
-
-def cofree_divisor(f: Factorization, indices: Iterable[int]) -> int:
-    """n with one copy of each indexed prime divided out: n / prod(p_i).
-
-    Positions are 1-based into the sorted prime list. The empty index set
-    returns n itself (empty product convention).
-    """
-    index_set = set(indices)
-    for i in index_set:
-        if not 1 <= i <= f.r:
-            raise ValueError(f"prime position {i} out of range 1..{f.r}")
-    result = f.n
-    for i in index_set:
-        result //= f.primes[i - 1]
-    return result
 
 
 def alpha_beta(f: Factorization, k: int, drop: Iterable[int] = ()) -> int:

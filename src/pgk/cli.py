@@ -37,6 +37,8 @@ from .separators import (
 )
 
 SCHEMA = "pgk/1"
+#: Report case label for n with no closed form (classify's CASE_II_BOUND).
+COMPUTED_ONLY = "computed-only"
 CSV_COLUMNS = (
     "n",
     "r",
@@ -156,8 +158,7 @@ def build_report(n: int, *, use_element: bool = False) -> Report:
     c = classify(f)
     formula = kappa_formula(f)
     bound = upper_bound_ii(f) if c.tag in (CASE_II_BOUND, R3_EXACT) else None
-    result = kappa_class(build_quotient(n))
-    computed = result.kappa
+    computed = kappa_class(build_quotient(n)).kappa
     element = kappa_element_oracle(n).kappa if use_element else None
     agreement = (
         (formula is None or formula == computed)
@@ -168,7 +169,7 @@ def build_report(n: int, *, use_element: bool = False) -> Report:
     return Report(
         n=n,
         factorization=f.factors,
-        case_tag=result.case_tag,
+        case_tag=COMPUTED_ONLY if c.tag == CASE_II_BOUND else c.tag,
         kappa_computed=computed,
         kappa_formula=formula,
         kappa_element=element,
@@ -518,7 +519,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `pgk sweep ... | head`): point stdout
+        # at devnull so the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ kappa = n - 1 by convention, kappa(P(C_1)) = 0 included.
 
 The independent element-level brute force lives in ``element_oracle`` and
 shares no graph or flow code with this module; the two routes are meant to
-check each other.
+check each other. Both compute kappa only; the CLI report labels which of
+the paper's cases n falls in.
 """
 
 from __future__ import annotations
@@ -20,22 +21,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Iterator
 
-from .arith import factorize
-from .formulas import CASE_II_BOUND, classify
 from .quotient import QuotientGraph
-
-#: KappaResult.case_tag value for n where no closed form is known.
-COMPUTED_ONLY = "computed-only"
 
 
 @dataclass(frozen=True)
 class KappaResult:
-    """A connectivity value plus how it was obtained and which case n is."""
+    """A connectivity value and the route that computed it."""
 
     n: int
     kappa: int
-    method: str  # "class-cut" | "element-oracle" | "formula"
-    case_tag: str
+    method: str  # "class-cut" | "element-oracle"
 
 
 @dataclass(frozen=True)
@@ -49,12 +44,6 @@ class SeparationWitness:
     removed: frozenset[int]
     block_a: frozenset[int]
     block_b: frozenset[int]
-
-
-def case_tag_for(n: int) -> str:
-    """Classification tag for reporting; 'computed-only' where no formula exists."""
-    tag = classify(factorize(n)).tag
-    return COMPUTED_ONLY if tag == CASE_II_BOUND else tag
 
 
 class _FlowNet:
@@ -233,10 +222,10 @@ def kappa_class(g: QuotientGraph) -> KappaResult:
     """
     n = g.n
     if g.is_complete:
-        return KappaResult(n, n - 1, "class-cut", "prime-power")
+        return KappaResult(n, n - 1, "class-cut")
     # every class but 1 and n has a non-adjacent class, so some flow runs
     best = min(w for *_, w in _source_flows(g))
-    return KappaResult(n, best, "class-cut", case_tag_for(n))
+    return KappaResult(n, best, "class-cut")
 
 
 def min_cuts(g: QuotientGraph) -> tuple[int, set[frozenset[int]]]:

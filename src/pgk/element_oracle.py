@@ -1,7 +1,8 @@
 """Brute-force element-level vertex connectivity of the power graph of C_n.
 
 This is the independent cross-check for the class-cut route in
-``connectivity`` and deliberately ignores the divisor lattice. The graph is
+``connectivity`` and deliberately ignores the divisor lattice: it never
+factors n, and takes only the result type from the class route. The graph is
 built straight from the group: vertex x is joined to y when one is an
 integral power of the other, with the powers of y found by literally
 enumerating k*y mod n for k = 0..n-1. Connectivity is then a minimum over
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from .connectivity import KappaResult, case_tag_for
+from .connectivity import KappaResult
 
 #: The only limit on n: near it the oracle's peak memory reaches 1.3 GB
 #: (n = 4954, twice a prime).
@@ -136,4 +137,4 @@ def kappa_element_oracle(n: int) -> KappaResult:
     if n > MAX_ELEMENT_N:
         raise ValueError(f"n={n} exceeds the element-oracle ceiling {MAX_ELEMENT_N}")
     kappa = _source_rule_kappa(element_adjacency(n))
-    return KappaResult(n, kappa, "element-oracle", case_tag_for(n))
+    return KappaResult(n, kappa, "element-oracle")

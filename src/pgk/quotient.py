@@ -26,14 +26,6 @@ from .arith import divisors, totient
 
 
 @dataclass(frozen=True)
-class DivisorClass:
-    """One quotient node: the elements of order d, phi(d) of them."""
-
-    d: int
-    weight: int
-
-
-@dataclass(frozen=True)
 class QuotientGraph:
     n: int
     divisors: tuple[int, ...]
@@ -42,10 +34,6 @@ class QuotientGraph:
     @cached_property
     def _index(self) -> dict[int, int]:
         return {d: i for i, d in enumerate(self.divisors)}
-
-    @cached_property
-    def classes(self) -> tuple[DivisorClass, ...]:
-        return tuple(DivisorClass(d, w) for d, w in zip(self.divisors, self.weights))
 
     def weight(self, d: int) -> int:
         return self.weights[self._index[d]]

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from pgk import Factorization, alpha_beta, cofree_divisor, divisors, factorize, totient
+from pgk import Factorization, alpha_beta, divisors, factorize, totient
 
 
 def naive_totient(n: int) -> int:
@@ -138,26 +138,7 @@ def test_divisors_match_naive_scan():
         assert ds[0] == 1 and ds[-1] == n
 
 
-# --- cofree divisors and the alpha/beta ladder --------------------------------
-
-
-def test_cofree_divisor_examples():
-    assert cofree_divisor(factorize(2310), {5}) == 210
-    assert cofree_divisor(factorize(12), set()) == 12
-    assert cofree_divisor(factorize(30), {1, 2}) == 5
-
-
-def test_cofree_divisor_always_divides():
-    f = factorize(360)
-    for i in range(1, f.r + 1):
-        assert f.n % cofree_divisor(f, {i}) == 0
-
-
-def test_cofree_divisor_rejects_bad_position():
-    with pytest.raises(ValueError):
-        cofree_divisor(factorize(30), {4})
-    with pytest.raises(ValueError):
-        cofree_divisor(factorize(30), {0})
+# --- the alpha/beta ladder ---------------------------------------------------
 
 
 def test_alpha_beta_examples():

@@ -3,12 +3,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pgk import SeparationWitness, build_quotient, kappa_class, verify_witness
 from pgk.cli import CSV_COLUMNS, Report, _sweep_max_n, build_report, main
 from pgk.connectivity import _FlowNet
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -370,6 +376,27 @@ def test_sweep_streams_rows(capsys, monkeypatch):
     assert [row["n"] for row in rows] == [2, 3, 4]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_into_a_closed_pipe_exits_1_without_traceback(jobs):
+    # `pgk sweep ... | head -1`: the reader leaves after one line
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pgk.cli", "sweep", "--max-n", "400", "--jobs", jobs],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    err = proc.stderr.read().decode()
+    assert code == 1
+    assert "Traceback" not in err, err
+
+
 def test_sweep_unwritable_out(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr("pgk.cli.build_report", lambda *a, **k: calls.append(a))
@@ -389,6 +416,18 @@ def test_build_report_fields():
     assert report.bound_ii is None
     assert report.agreement and report.r == 2
     assert report.ms >= 0
+
+
+def test_build_report_case_labels():
+    # the report labels the case from classify; the kappa routes carry no case
+    labels = {n: build_report(n).case_tag for n in (8, 36, 45, 150, 2310)}
+    assert labels == {
+        8: "prime-power",
+        36: "case-iii",
+        45: "case-i",
+        150: "r3-exact",
+        2310: "computed-only",
+    }
 
 
 def test_report_rejects_unknown_schema():

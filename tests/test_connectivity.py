@@ -5,6 +5,8 @@ from itertools import combinations
 import pytest
 
 from pgk import (
+    KappaResult,
+    QuotientGraph,
     SeparationWitness,
     build_quotient,
     components_without,
@@ -16,7 +18,7 @@ from pgk import (
     verify_witness,
     witness_problems,
 )
-from pgk.connectivity import _build_net, _cut_classes
+from pgk.connectivity import _build_net, _cut_classes, min_cuts
 
 
 @pytest.mark.parametrize(
@@ -30,11 +32,8 @@ def test_kappa_class_known_values(n, kappa):
 
 def test_kappa_class_result_fields():
     r = kappa_class(build_quotient(36))
-    assert (r.n, r.kappa, r.method, r.case_tag) == (36, 18, "class-cut", "case-iii")
-    assert kappa_class(build_quotient(8)).case_tag == "prime-power"
-    assert kappa_class(build_quotient(45)).case_tag == "case-i"
-    assert kappa_class(build_quotient(150)).case_tag == "r3-exact"
-    assert kappa_class(build_quotient(2310)).case_tag == "computed-only"
+    assert (r.n, r.kappa, r.method) == (36, 18, "class-cut")
+    assert kappa_class(build_quotient(8)) == KappaResult(8, 7, "class-cut")
 
 
 def kappa_all_pairs(g):
@@ -77,6 +76,25 @@ def test_cut_sides_are_all_minimum_cuts():
             assert cuts == min_cuts_by_subsets(g, u, v, weight), (n, u, v)
             several += len(cuts) > 1
     assert several > 0
+
+
+def test_source_rule_stops_only_above_the_bound():
+    # Hand-weighted quotient with two minimum separators, {1, 2, 12} and
+    # {1, 6, 12}, of weight 12. Classes 2, 3 and 6 weigh 4 each and 1 and 12
+    # weigh 8 together, so after class 2 the visited weight 4 equals
+    # 12 - 8. Stopping there (>= instead of >) loses {1, 2, 12}, because no
+    # visited class lies outside it.
+    g = QuotientGraph(12, (1, 2, 3, 4, 6, 12), (5, 4, 4, 3, 4, 3))
+    subsets = [
+        frozenset(c)
+        for size in range(len(g.divisors) + 1)
+        for c in combinations(g.divisors, size)
+        if len(components_without(g, c)) > 1
+    ]
+    kappa = min(sum(g.weight(d) for d in c) for c in subsets)
+    minima = {c for c in subsets if sum(g.weight(d) for d in c) == kappa}
+    assert (kappa, minima) == (12, {frozenset({1, 2, 12}), frozenset({1, 6, 12})})
+    assert min_cuts(g) == (kappa, minima)
 
 
 def test_source_rule_matches_all_pairs_up_to_600():

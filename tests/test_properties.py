@@ -1,11 +1,14 @@
 """Property tests over random n, and lints on src/pgk: no asserts, no
-environment variables, and an element oracle independent of the class route."""
+environment variables, an element oracle independent of the class route, a
+class route that imports only the quotient, and an ``__all__`` that matches
+the package."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+import pgk
 from pgk import (
     build_quotient,
     build_Z,
@@ -85,10 +88,9 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-def test_element_oracle_imports_nothing_of_the_class_route():
-    # the oracle cross-checks the class cut, so it may share no graph, flow
-    # or divisor code with it: only the result type and the case tag
-    tree = ast.parse((SRC / "element_oracle.py").read_text(encoding="utf-8"))
+def pgk_imports(name):
+    """Every pgk name the module imports, as "<module>.<name>"."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -97,7 +99,33 @@ def test_element_oracle_imports_nothing_of_the_class_route():
             module = "." * node.level + (node.module or "")
             if node.level or module.startswith("pgk"):
                 imported |= {f"{module}.{a.name}" for a in node.names}
-    assert imported == {".connectivity.KappaResult", ".connectivity.case_tag_for"}
+    return imported
+
+
+def test_element_oracle_imports_nothing_of_the_class_route():
+    # the oracle cross-checks the class cut, so it may share no graph, flow
+    # or divisor code with it: only the result type
+    assert pgk_imports("element_oracle.py") == {".connectivity.KappaResult"}
+
+
+def test_class_route_imports_only_the_quotient():
+    # the class cut computes kappa only; the case label is the report's
+    imported = pgk_imports("connectivity.py")
+    assert imported and all(name.startswith(".quotient.") for name in imported)
+
+
+def test_all_matches_the_package_imports():
+    # a deletion must not leave a stale export behind, or `from pgk import *`
+    # breaks, and every name the package imports from a submodule is exported
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    bound = {
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for a in node.names
+    }
+    assert all(hasattr(pgk, name) for name in pgk.__all__)
+    assert bound <= set(pgk.__all__), sorted(bound - set(pgk.__all__))
 
 
 def test_no_environment_variable_is_read_in_the_package():
