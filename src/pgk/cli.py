@@ -102,30 +102,8 @@ class Report:
             "ms": self.ms,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        if data.get("schema") != SCHEMA:
-            raise ValueError(f"unsupported report schema: {data.get('schema')!r}")
-        seps = data.get("min_separators")
-        return cls(
-            n=data["n"],
-            factorization=tuple((p, e) for p, e in data["factorization"]),
-            case_tag=data["case"],
-            kappa_computed=data["kappa_computed"],
-            kappa_formula=data.get("kappa_formula"),
-            kappa_element=data.get("kappa_element"),
-            bound_ii=data.get("bound_ii"),
-            min_separators=None if seps is None else tuple(tuple(s) for s in seps),
-            agreement=data["agreement"],
-            ms=data["ms"],
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        return cls.from_dict(json.loads(text))
 
     def csv_row(self) -> list[str]:
         def cell(value) -> str:

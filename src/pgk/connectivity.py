@@ -6,6 +6,8 @@ set whose removal disconnects the quotient graph. That minimum is computed
 exactly by node-splitting max-flows (each class an arc of capacity phi(d),
 adjacency arcs unbounded) from a few heavy source classes to the classes not
 adjacent to them; ``kappa_class`` states the source rule and its proof.
+Each call builds one network for the quotient (``_ClassNet``) and runs
+every flow on its own copy of the capacities.
 Complete quotients (n = 1 or a prime power) have no non-adjacent pair and
 kappa = n - 1 by convention, kappa(P(C_1)) = 0 included.
 
@@ -46,118 +48,141 @@ class SeparationWitness:
     block_b: frozenset[int]
 
 
-class _FlowNet:
-    """Dinic max-flow on a small integer-capacity network."""
+class _ClassNet:
+    """The class-cut network of one quotient, built once and never changed.
 
-    def __init__(self, size: int) -> None:
-        self.adj: list[list[list[int]]] = [[] for _ in range(size)]
+    Divisor i is split into an entry node 2i and an exit node 2i + 1, joined
+    by an arc of capacity phi(d); comparable classes are joined exit to
+    entry, both ways, by arcs too heavy for any cut. Arc e runs to head[e]
+    with capacity cap[e], and e ^ 1 is its reverse. Each Dinic max flow runs
+    on a fresh copy of ``cap``, so the residual lists of several flows can be
+    kept side by side. Callers name divisors only; the node numbering stays
+    inside this class.
+    """
 
-    def add_arc(self, a: int, b: int, cap: int) -> None:
-        # arc entries are [to, residual capacity, index of reverse arc]
-        self.adj[a].append([b, cap, len(self.adj[b])])
-        self.adj[b].append([a, 0, len(self.adj[a]) - 1])
+    def __init__(self, g: QuotientGraph) -> None:
+        self.g = g
+        ds = g.divisors
+        self.arcs: list[list[int]] = [[] for _ in range(2 * len(ds))]
+        self.head: list[int] = []
+        self.cap: list[int] = []
+        inf = g.n + 1  # exceeds the total class weight, so adjacency arcs never cut
+        for i, d in enumerate(ds):
+            self._add_arc(2 * i, 2 * i + 1, g.weights[i])
+            for j in range(i + 1, len(ds)):
+                if ds[j] % d == 0:
+                    self._add_arc(2 * i + 1, 2 * j, inf)
+                    self._add_arc(2 * j + 1, 2 * i, inf)
 
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * len(self.adj)
+    def _add_arc(self, a: int, b: int, cap: int) -> None:
+        e = len(self.head)
+        self.arcs[a].append(e)
+        self.arcs[b].append(e + 1)
+        self.head += (b, a)
+        self.cap += (cap, 0)
+
+    def _levels(self, res: list[int], s: int, t: int) -> list[int] | None:
+        level = [-1] * len(self.arcs)
         level[s] = 0
         queue = deque([s])
         while queue:
             a = queue.popleft()
-            for b, cap, _ in self.adj[a]:
-                if cap > 0 and level[b] < 0:
+            for e in self.arcs[a]:
+                b = self.head[e]
+                if res[e] > 0 and level[b] < 0:
                     level[b] = level[a] + 1
                     queue.append(b)
         return level if level[t] >= 0 else None
 
-    def _push(self, a: int, t: int, amount: int, level: list[int], it: list[int]) -> int:
+    def _push(
+        self, res: list[int], a: int, t: int, amount: int, level: list[int], it: list[int]
+    ) -> int:
         if a == t:
             return amount
-        while it[a] < len(self.adj[a]):
-            arc = self.adj[a][it[a]]
-            b, cap, rev = arc
-            if cap > 0 and level[b] == level[a] + 1:
-                pushed = self._push(b, t, min(amount, cap), level, it)
+        arcs = self.arcs[a]
+        while it[a] < len(arcs):
+            e = arcs[it[a]]
+            b = self.head[e]
+            if res[e] > 0 and level[b] == level[a] + 1:
+                pushed = self._push(res, b, t, min(amount, res[e]), level, it)
                 if pushed > 0:
-                    arc[1] -= pushed
-                    self.adj[b][rev][1] += pushed
+                    res[e] -= pushed
+                    res[e ^ 1] += pushed
                     return pushed
             it[a] += 1
         return 0
 
-    def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
-        """Max flow value; may stop early once the flow reaches ``limit``.
+    def flow(self, u: int, v: int, limit: int | None = None) -> tuple[int, list[int]]:
+        """Max flow from class u to class v, with its residual capacities.
 
-        A value below ``limit`` is the exact max flow, with the residual
-        network to match; an early stop returns a value >= limit.
+        May stop early once the flow reaches ``limit``: a value below
+        ``limit`` is the exact max flow, with the residual network to match;
+        an early stop returns a value >= limit.
         """
-        flow = 0
-        while limit is None or flow < limit:
-            level = self._levels(s, t)
+        s, t = 2 * self.g.index(u) + 1, 2 * self.g.index(v)
+        res = self.cap.copy()
+        value = 0
+        while limit is None or value < limit:
+            level = self._levels(res, s, t)
             if level is None:
                 break
-            it = [0] * len(self.adj)
+            it = [0] * len(self.arcs)
             while True:
-                pushed = self._push(s, t, 1 << 62, level, it)
+                pushed = self._push(res, s, t, 1 << 62, level, it)
                 if pushed == 0:
                     break
-                flow += pushed
-        return flow
+                value += pushed
+        return value, res
 
-    def closure(self, u: int, forward: bool, closed: Collection[int] = ()) -> set[int]:
-        """``closed`` plus every node u reaches along residual arcs (forward)
-        or that reaches u (backward); ``closed`` must be closed that way."""
+    def _closure(
+        self, res: list[int], node: int, forward: bool, closed: Collection[int] = ()
+    ) -> set[int]:
+        # closed plus every node that node reaches along residual arcs
+        # (forward) or that reaches it (backward); closed must be closed that way
         seen = set(closed)
-        seen.add(u)
-        todo = [u]
+        seen.add(node)
+        todo = [node]
         while todo:
             a = todo.pop()
-            for b, cap, rev in self.adj[a]:
-                if b not in seen and (cap if forward else self.adj[b][rev][1]) > 0:
+            for e in self.arcs[a]:
+                b = self.head[e]
+                if b not in seen and res[e if forward else e ^ 1] > 0:
                     seen.add(b)
                     todo.append(b)
         return seen
 
-    def cut_sides(self, s: int, t: int) -> Iterator[set[int]]:
-        """Every residual-closed node set holding s and not t, after a max flow.
+    def _classes(self, side: set[int]) -> frozenset[int]:
+        # the classes whose capacity arc leaves the source side
+        return frozenset(
+            d for i, d in enumerate(self.g.divisors) if 2 * i in side and 2 * i + 1 not in side
+        )
 
-        These are exactly the source sides of the minimum s-t cuts (Picard
-        and Queyranne 1980). Start from the forward closure of s and the
-        backward closure of t, then branch on a free node u: put its forward
-        closure on the source side, or its backward closure on the sink side.
-        Both branches always succeed, because a closed side cannot reach (or
-        be reached from) a free node, so every leaf is a distinct cut and the
-        delay is polynomial.
+    def cut(self, res: list[int], u: int) -> frozenset[int]:
+        """The classes cut by the residual closure of u after a max flow from u."""
+        return self._classes(self._closure(res, 2 * self.g.index(u) + 1, True))
+
+    def cuts(self, res: list[int], u: int, v: int) -> Iterator[frozenset[int]]:
+        """The classes of every minimum u-v cut, after an exact max flow u to v.
+
+        The residual-closed node sets holding u's exit and not v's entry are
+        exactly the source sides of the minimum cuts (Picard and Queyranne
+        1980). Start from the forward closure of the source and the backward
+        closure of the sink, then branch on a free node a: put its forward
+        closure on the source side, or its backward closure on the sink
+        side. Both branches always succeed, because a closed side cannot
+        reach (or be reached from) a free node, so every leaf is a distinct
+        cut and the delay is polynomial.
         """
-        stack = [(self.closure(s, True), self.closure(t, False))]
+        s, t = 2 * self.g.index(u) + 1, 2 * self.g.index(v)
+        stack = [(self._closure(res, s, True), self._closure(res, t, False))]
         while stack:
             side, other = stack.pop()
-            u = next((a for a in range(len(self.adj)) if a not in side and a not in other), None)
-            if u is None:
-                yield side
+            a = next((a for a in range(len(self.arcs)) if a not in side and a not in other), None)
+            if a is None:
+                yield self._classes(side)
                 continue
-            stack.append((side, self.closure(u, False, other)))
-            stack.append((self.closure(u, True, side), other))
-
-
-def _build_net(g: QuotientGraph) -> _FlowNet:
-    # node 2i is the entry of divisor i, node 2i+1 its exit
-    ds = g.divisors
-    net = _FlowNet(2 * len(ds))
-    inf = g.n + 1  # exceeds the total class weight, so adjacency arcs never cut
-    for i, d in enumerate(ds):
-        net.add_arc(2 * i, 2 * i + 1, g.weights[i])
-        for j in range(i + 1, len(ds)):
-            if ds[j] % d == 0:
-                net.add_arc(2 * i + 1, 2 * j, inf)
-                net.add_arc(2 * j + 1, 2 * i, inf)
-    return net
-
-
-def _cut_classes(g: QuotientGraph, side: set[int]) -> frozenset[int]:
-    # the classes whose capacity arc leaves the source side
-    return frozenset(
-        d for i, d in enumerate(g.divisors) if 2 * i in side and 2 * i + 1 not in side
-    )
+            stack.append((side, self._closure(res, a, False, other)))
+            stack.append((self._closure(res, a, True, side), other))
 
 
 def min_cut_between(g: QuotientGraph, u: int, v: int) -> tuple[int, frozenset[int]]:
@@ -167,36 +192,31 @@ def min_cut_between(g: QuotientGraph, u: int, v: int) -> tuple[int, frozenset[in
     returned cut. The cut is recovered from the residual network, so it is a
     genuine certificate: deleting it leaves no u-v path.
     """
-    if not g.has_divisor(u) or not g.has_divisor(v):
-        raise ValueError(f"{u} and {v} must both divide {g.n}")
     if u == v:
         raise ValueError("cut endpoints must be distinct")
     if g.adjacent(u, v):
         raise ValueError(f"classes {u} and {v} are adjacent; no vertex cut separates them")
-    net = _build_net(g)
-    s = 2 * g.index(u) + 1
-    weight = net.max_flow(s, 2 * g.index(v))
-    cut = _cut_classes(g, net.closure(s, True))
+    net = _ClassNet(g)
+    weight, res = net.flow(u, v)
+    cut = net.cut(res, u)
     if weight != sum(g.weight(d) for d in cut):
         raise RuntimeError(f"cut {sorted(cut)} does not weigh the flow value {weight}")
     return weight, cut
 
 
-def _source_flows(g: QuotientGraph) -> Iterator[tuple[int, int, _FlowNet, int]]:
-    # The source rule's flows as (source node, sink node, net, value). Each
+def _source_flows(net: _ClassNet) -> Iterator[tuple[int, int, list[int], int]]:
+    # The source rule's flows as (source, sink, residual list, value). Each
     # stops at best + 1, not best, so a flow that ties the running minimum is
-    # exact and its residual network holds every one of its minimum cuts.
+    # exact and its residual list holds every one of its minimum cuts.
+    g = net.g
     universal = g.weight(1) + g.weight(g.n)  # phi(n) + 1
     best: int | None = None
     visited = 0
     for x in sorted(g.divisors[1:-1], key=g.weight, reverse=True):
-        s = 2 * g.index(x) + 1
         for v in g.divisors:
             if v != x and not g.adjacent(x, v):
-                net = _build_net(g)
-                t = 2 * g.index(v)
-                w = net.max_flow(s, t, limit=None if best is None else best + 1)
-                yield s, t, net, w
+                w, res = net.flow(x, v, limit=None if best is None else best + 1)
+                yield x, v, res, w
                 if best is None or w < best:
                     best = w
         visited += g.weight(x)
@@ -224,30 +244,31 @@ def kappa_class(g: QuotientGraph) -> KappaResult:
     if g.is_complete:
         return KappaResult(n, n - 1, "class-cut")
     # every class but 1 and n has a non-adjacent class, so some flow runs
-    best = min(w for *_, w in _source_flows(g))
+    best = min(w for *_, w in _source_flows(_ClassNet(g)))
     return KappaResult(n, best, "class-cut")
 
 
 def min_cuts(g: QuotientGraph) -> tuple[int, set[frozenset[int]]]:
     """kappa and every minimum x-v cut over the source rule's pairs, in one pass.
 
-    Runs the flows of ``kappa_class`` once, keeps the nets of the flows that
-    tie the running minimum (dropping them when it falls), and lists the
-    classes cut by every residual-closed side (``_FlowNet.cut_sides``) of
-    the flows left at the end, whose value is kappa.
+    Runs the flows of ``kappa_class`` once on one network, keeps the
+    residual lists of the flows that tie the running minimum (dropping them
+    when it falls), and lists the classes of every minimum cut
+    (``_ClassNet.cuts``) of the flows left at the end, whose value is kappa.
     """
     if g.is_complete:
         raise ValueError("complete quotient has no separator; kappa = n - 1")
+    net = _ClassNet(g)
     best: int | None = None
-    tight: list[tuple[int, int, _FlowNet]] = []
-    for s, t, net, w in _source_flows(g):
+    tight: list[tuple[int, int, list[int]]] = []
+    for x, v, res, w in _source_flows(net):
         if best is None or w < best:
             best, tight = w, []
         if w == best:
-            tight.append((s, t, net))
+            tight.append((x, v, res))
     if best is None:
         raise RuntimeError(f"n={g.n}: a non-complete quotient has no non-adjacent pair")
-    cuts = {_cut_classes(g, side) for s, t, net in tight for side in net.cut_sides(s, t)}
+    cuts = {cut for x, v, res in tight for cut in net.cuts(res, x, v)}
     return best, cuts
 
 

@@ -18,7 +18,8 @@ from pgk import (
     verify_witness,
     witness_problems,
 )
-from pgk.connectivity import _build_net, _cut_classes, min_cuts
+from pgk.cli import main
+from pgk.connectivity import _ClassNet, min_cuts
 
 
 @pytest.mark.parametrize(
@@ -40,9 +41,10 @@ def kappa_all_pairs(g):
     """Unpruned reference: the cheapest cut over every incomparable pair."""
     if g.is_complete:
         return g.n - 1
+    net = _ClassNet(g)
     best = None
     for u, v in g.non_adjacent_pairs():
-        w = _build_net(g).max_flow(2 * g.index(u) + 1, 2 * g.index(v), limit=best)
+        w, _ = net.flow(u, v, limit=best)
         if best is None or w < best:
             best = w
     return best
@@ -68,14 +70,44 @@ def test_cut_sides_are_all_minimum_cuts():
     several = 0
     for n in range(2, 101):
         g = build_quotient(n)
+        net = _ClassNet(g)
         for u, v in g.non_adjacent_pairs():
-            net = _build_net(g)
-            s, t = 2 * g.index(u) + 1, 2 * g.index(v)
-            weight = net.max_flow(s, t)
-            cuts = {_cut_classes(g, side) for side in net.cut_sides(s, t)}
+            weight, res = net.flow(u, v)
+            cuts = set(net.cuts(res, u, v))
             assert cuts == min_cuts_by_subsets(g, u, v, weight), (n, u, v)
             several += len(cuts) > 1
     assert several > 0
+
+
+@pytest.mark.parametrize("n", [36, 1944, 2310])
+def test_one_network_per_quotient(monkeypatch, capsys, n):
+    built = []
+    init = _ClassNet.__init__
+
+    def counted(self, g):
+        built.append(g.n)
+        init(self, g)
+
+    monkeypatch.setattr(_ClassNet, "__init__", counted)
+    g = build_quotient(n)
+    kappa_class(g)
+    min_cuts(g)
+    u, v = g.non_adjacent_pairs()[0]
+    min_cut_between(g, u, v)
+    assert main(["separators", str(n), "--all-min"]) == 0
+    assert built == [n, n, n, n]
+
+
+def test_flows_on_one_network_keep_their_residuals():
+    g = build_quotient(60)
+    net = _ClassNet(g)
+    weight, first = net.flow(4, 3)
+    kept = list(first)
+    net.flow(4, 5)
+    assert first == kept
+    assert first != net.cap
+    assert net.cap == _ClassNet(g).cap
+    assert set(net.cuts(first, 4, 3)) == min_cuts_by_subsets(g, 4, 3, weight)
 
 
 def test_source_rule_stops_only_above_the_bound():
