@@ -58,16 +58,19 @@ MAX_SWEEP_N = 10**6
 
 @dataclass(frozen=True)
 class Report:
-    """One row of verification output for a single n."""
+    """One row of verification output for a single n.
+
+    Every field is stored under its pgk/1 key; to_dict adds only the keys
+    derived from them, and n_min_separators/min_separators stay null.
+    """
 
     n: int
     factorization: tuple[tuple[int, int], ...]
-    case_tag: str
+    case: str
     kappa_computed: int
     kappa_formula: int | None = None
     kappa_element: int | None = None
     bound_ii: int | None = None
-    min_separators: tuple[tuple[int, ...], ...] | None = None
     agreement: bool = True
     ms: float = 0.0
 
@@ -83,50 +86,27 @@ class Report:
 
     def to_dict(self) -> dict:
         return {
+            **vars(self),
             "schema": SCHEMA,
-            "n": self.n,
-            "factorization": [list(pe) for pe in self.factorization],
-            "case": self.case_tag,
-            "kappa_formula": self.kappa_formula,
-            "kappa_computed": self.kappa_computed,
-            "kappa_element": self.kappa_element,
-            "bound_ii": self.bound_ii,
             "bound_strict": self.bound_strict,
-            "agreement": self.agreement,
-            "n_min_separators": None
-            if self.min_separators is None
-            else len(self.min_separators),
-            "min_separators": None
-            if self.min_separators is None
-            else [sorted(s) for s in self.min_separators],
-            "ms": self.ms,
+            "n_min_separators": None,
+            "min_separators": None,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def csv_row(self) -> list[str]:
-        def cell(value) -> str:
-            if value is None:
-                return ""
-            if isinstance(value, bool):
-                return "true" if value else "false"
-            return str(value)
+        values = {**self.to_dict(), "r": self.r, "ms": round(self.ms, 3)}
+        return [_csv_cell(values[column]) for column in CSV_COLUMNS]
 
-        return [
-            cell(v)
-            for v in (
-                self.n,
-                self.r,
-                self.case_tag,
-                self.kappa_formula,
-                self.kappa_computed,
-                self.bound_ii,
-                self.agreement,
-                None if self.min_separators is None else len(self.min_separators),
-                round(self.ms, 3),
-            )
-        ]
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def build_report(n: int, *, use_element: bool = False) -> Report:
@@ -147,7 +127,7 @@ def build_report(n: int, *, use_element: bool = False) -> Report:
     return Report(
         n=n,
         factorization=f.factors,
-        case_tag=COMPUTED_ONLY if c.tag == CASE_II_BOUND else c.tag,
+        case=COMPUTED_ONLY if c.tag == CASE_II_BOUND else c.tag,
         kappa_computed=computed,
         kappa_formula=formula,
         kappa_element=element,
@@ -164,7 +144,7 @@ def _factor_str(factors: Iterable[tuple[int, int]]) -> str:
 
 def _print_report(report: Report, out: TextIO) -> None:
     print(f"n = {report.n} = {_factor_str(report.factorization)}", file=out)
-    print(f"case: {report.case_tag}", file=out)
+    print(f"case: {report.case}", file=out)
     print(f"kappa (computed): {report.kappa_computed}", file=out)
     if report.kappa_formula is not None:
         print(f"kappa (formula):  {report.kappa_formula}", file=out)
@@ -173,7 +153,12 @@ def _print_report(report: Report, out: TextIO) -> None:
     if report.kappa_element is not None:
         print(f"kappa (element oracle): {report.kappa_element}", file=out)
     if report.bound_ii is not None:
-        relation = "< bound, strict" if report.bound_strict else "= bound, tight"
+        if report.kappa_computed < report.bound_ii:
+            relation = "< bound, strict"
+        elif report.kappa_computed == report.bound_ii:
+            relation = "= bound, tight"
+        else:
+            relation = "> bound, VIOLATED"
         print(
             f"upper bound: {report.bound_ii} "
             f"(computed {report.kappa_computed} {relation})",
@@ -407,7 +392,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for report in _sweep_rows(tasks, args.jobs):
             line = ",".join(report.csv_row()) if args.format == "csv" else report.to_json()
             print(line, file=sink)
-            cases[report.case_tag] = cases.get(report.case_tag, 0) + 1
+            cases[report.case] = cases.get(report.case, 0) + 1
             if not report.agreement:
                 mismatches.append(report.n)
             if report.bound_strict:

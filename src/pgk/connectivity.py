@@ -100,7 +100,8 @@ class _ClassNet:
         if a == t:
             return amount
         arcs = self.arcs[a]
-        while it[a] < len(arcs):
+        end = len(arcs)
+        while it[a] < end:
             e = arcs[it[a]]
             b = self.head[e]
             if res[e] > 0 and level[b] == level[a] + 1:

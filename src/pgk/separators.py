@@ -37,14 +37,18 @@ from .quotient import QuotientGraph, build_quotient, components_without
 
 @dataclass(frozen=True)
 class ClassSeparator:
-    """A divisor-class set proposed as a separator, with its total weight."""
+    """A divisor-class set proposed as a separator."""
 
     n: int
     classes: frozenset[int]
-    weight: int
     witness: SeparationWitness | None = None
     label: str = ""
     note: str = ""
+
+    @property
+    def weight(self) -> int:
+        """The number of elements removed: the phi-sum of the classes."""
+        return sum(totient(d) for d in self.classes)
 
 
 def build_Z(f: Factorization, k: int) -> ClassSeparator:
@@ -59,12 +63,7 @@ def build_Z(f: Factorization, k: int) -> ClassSeparator:
         classes.add(alpha_beta(f, j))
     for i in range(1, f.r):
         classes.update(divisors(alpha_beta(f, k, {i})))
-    return ClassSeparator(
-        n=f.n,
-        classes=frozenset(classes),
-        weight=sum(totient(d) for d in classes),
-        label=f"Z({f.r},{k})",
-    )
+    return ClassSeparator(n=f.n, classes=frozenset(classes), label=f"Z({f.r},{k})")
 
 
 def size_Z_formula(f: Factorization, k: int) -> int:
@@ -115,12 +114,7 @@ def example_2310() -> ClassSeparator:
     classes = {n, 210, 330}
     for d in (6, 10, 15):
         classes.update(divisors(d))
-    sep = ClassSeparator(
-        n=n,
-        classes=frozenset(classes),
-        weight=sum(totient(d) for d in classes),
-        label="example-2310",
-    )
+    sep = ClassSeparator(n=n, classes=frozenset(classes), label="example-2310")
     return replace(sep, witness=check_disconnects(sep))
 
 
@@ -133,15 +127,12 @@ def check_disconnects(s: ClassSeparator) -> SeparationWitness:
     rest. Raises if the remainder is connected, empty, or a single class.
     """
     g = build_quotient(s.n)
-    for d in s.classes:
-        if not g.has_divisor(d):
-            raise ValueError(f"{d} does not divide {s.n}")
+    comps = components_without(g, s.classes)
     survivors = [d for d in g.divisors if d not in s.classes]
     if len(survivors) < 2:
         raise ValueError(
             f"only {len(survivors)} class(es) survive removal; no separation exists"
         )
-    comps = components_without(g, s.classes)
     if len(comps) < 2:
         raise ValueError(f"removing {sorted(s.classes)} leaves the quotient connected")
     f = factorize(s.n)
@@ -190,11 +181,8 @@ def enumerate_min_separators(g: QuotientGraph) -> list[ClassSeparator]:
     }
     results = []
     for classes in sorted(found, key=lambda s: tuple(sorted(s))):
-        sep = ClassSeparator(
-            n=g.n,
-            classes=classes,
-            weight=kappa,
-            label=z_labels.get(classes, "enumerated"),
-        )
+        sep = ClassSeparator(n=g.n, classes=classes, label=z_labels.get(classes, "enumerated"))
+        if sep.weight != kappa:
+            raise RuntimeError(f"cut {sorted(classes)} does not weigh the flow value {kappa}")
         results.append(replace(sep, witness=check_disconnects(sep)))
     return results

@@ -100,7 +100,7 @@ def test_kappa_mismatch_exits_2(capsys, monkeypatch):
     rigged = Report(     # impossible numbers, only to exercise the exit contract
         n=6,
         factorization=((2, 1), (3, 1)),
-        case_tag="case-i",
+        case="case-i",
         kappa_computed=3,
         kappa_formula=4,
         agreement=False,
@@ -109,6 +109,21 @@ def test_kappa_mismatch_exits_2(capsys, monkeypatch):
     code, out, _ = run(capsys, "kappa", "6")
     assert code == 2
     assert "MISMATCH" in out
+
+
+def test_kappa_above_the_bound_is_reported_violated(capsys, monkeypatch):
+    rigged = Report(     # a computed kappa above the case-ii bound: a mismatch
+        n=2310,
+        factorization=((2, 1), (3, 1), (5, 1), (7, 1), (11, 1)),
+        case="computed-only",
+        kappa_computed=700,
+        bound_ii=642,
+        agreement=False,
+    )
+    monkeypatch.setattr("pgk.cli.build_report", lambda *a, **k: rigged)
+    code, out, _ = run(capsys, "kappa", "2310")
+    assert code == 2
+    assert "upper bound: 642 (computed 700 > bound, VIOLATED)" in out.splitlines()
 
 
 def test_huge_n_is_refused_at_parse_time(capsys, monkeypatch):
@@ -412,7 +427,7 @@ def test_build_report_fields():
 
 def test_build_report_case_labels():
     # the report labels the case from classify; the kappa routes carry no case
-    labels = {n: build_report(n).case_tag for n in (8, 36, 45, 150, 2310)}
+    labels = {n: build_report(n).case for n in (8, 36, 45, 150, 2310)}
     assert labels == {
         8: "prime-power",
         36: "case-iii",
@@ -428,3 +443,28 @@ def test_report_csv_row_shapes():
     assert len(row) == len(CSV_COLUMNS)
     assert row[CSV_COLUMNS.index("kappa_formula")] == "52"
     assert row[CSV_COLUMNS.index("agreement")] == "true"
+
+
+def test_sweep_csv_cells_match_json_values(capsys):
+    argv = ("sweep", "--max-n", "60", "--extra", "2310")
+    code, json_out, _ = run(capsys, *argv)
+    assert code == 0
+    code, csv_out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+
+    def as_cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return str(value)
+
+    rows = list(csv.DictReader(io.StringIO(csv_out)))
+    objects = [json.loads(line) for line in json_out.strip().splitlines()]
+    assert [int(row["n"]) for row in rows] == [obj["n"] for obj in objects]
+    assert [obj["n"] for obj in objects] == list(range(2, 61)) + [2310]
+    for row, obj in zip(rows, objects):
+        assert row["r"] == str(len(obj["factorization"])), obj["n"]
+        for column in CSV_COLUMNS:
+            if column not in ("r", "ms"):
+                assert row[column] == as_cell(obj[column]), (obj["n"], column)

@@ -128,7 +128,7 @@ def test_check_disconnects_blocks():
 def test_check_disconnects_rejects_connected_remainder():
     from pgk import ClassSeparator
 
-    weak = ClassSeparator(n=12, classes=frozenset({1, 12}), weight=5)
+    weak = ClassSeparator(n=12, classes=frozenset({1, 12}))
     with pytest.raises(ValueError, match="connected"):
         check_disconnects(weak)
 
@@ -136,11 +136,11 @@ def test_check_disconnects_rejects_connected_remainder():
 def test_check_disconnects_rejects_tiny_remainders():
     from pgk import ClassSeparator
 
-    nearly_all = ClassSeparator(n=6, classes=frozenset({1, 2, 3}), weight=4)
+    nearly_all = ClassSeparator(n=6, classes=frozenset({1, 2, 3}))
     with pytest.raises(ValueError, match="survive"):
         check_disconnects(nearly_all)
-    foreign = ClassSeparator(n=12, classes=frozenset({5}), weight=4)
-    with pytest.raises(ValueError):
+    foreign = ClassSeparator(n=12, classes=frozenset({5}))
+    with pytest.raises(ValueError, match="does not divide"):
         check_disconnects(foreign)
 
 
@@ -281,3 +281,10 @@ def test_enumeration_matches_subset_search():
 def test_enumeration_rejects_complete_graph():
     with pytest.raises(ValueError):
         enumerate_min_separators(build_quotient(9))
+
+
+def test_enumeration_rejects_a_cut_off_the_flow_value(monkeypatch):
+    # a cut whose phi-sum is not the flow value must not be reported at kappa
+    monkeypatch.setattr("pgk.separators.min_cuts", lambda g: (17, {frozenset({1, 2, 12, 36})}))
+    with pytest.raises(RuntimeError, match="does not weigh the flow value 17"):
+        enumerate_min_separators(build_quotient(36))
