@@ -207,6 +207,13 @@ def _oracle_max_n(text: str) -> int:
     return value
 
 
+def _jobs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"--jobs must be at least 1, got {value}")
+    return value
+
+
 def cmd_kappa(args: argparse.Namespace) -> int:
     n = args.n
     use_element = args.method in ("element", "both")
@@ -464,7 +471,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--out", type=str, default=None)
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=_jobs, default=1)
     p_sweep.add_argument(
         "--extra",
         type=_positive_int,

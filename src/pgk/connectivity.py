@@ -158,10 +158,6 @@ class _ClassNet:
             d for i, d in enumerate(self.g.divisors) if 2 * i in side and 2 * i + 1 not in side
         )
 
-    def cut(self, res: list[int], u: int) -> frozenset[int]:
-        """The classes cut by the residual closure of u after a max flow from u."""
-        return self._classes(self._closure(res, 2 * self.g.index(u) + 1, True))
-
     def cuts(self, res: list[int], u: int, v: int) -> Iterator[frozenset[int]]:
         """The classes of every minimum u-v cut, after an exact max flow u to v.
 
@@ -172,7 +168,8 @@ class _ClassNet:
         closure on the source side, or its backward closure on the sink
         side. Both branches always succeed, because a closed side cannot
         reach (or be reached from) a free node, so every leaf is a distinct
-        cut and the delay is polynomial.
+        cut and the delay is polynomial. The sink-side branch is taken first,
+        so the first cut is the one cut by the residual closure of u.
         """
         s, t = 2 * self.g.index(u) + 1, 2 * self.g.index(v)
         stack = [(self._closure(res, s, True), self._closure(res, t, False))]
@@ -182,8 +179,8 @@ class _ClassNet:
             if a is None:
                 yield self._classes(side)
                 continue
-            stack.append((side, self._closure(res, a, False, other)))
             stack.append((self._closure(res, a, True, side), other))
+            stack.append((side, self._closure(res, a, False, other)))
 
 
 def min_cut_between(g: QuotientGraph, u: int, v: int) -> tuple[int, frozenset[int]]:
@@ -199,7 +196,7 @@ def min_cut_between(g: QuotientGraph, u: int, v: int) -> tuple[int, frozenset[in
         raise ValueError(f"classes {u} and {v} are adjacent; no vertex cut separates them")
     net = _ClassNet(g)
     weight, res = net.flow(u, v)
-    cut = net.cut(res, u)
+    cut = next(net.cuts(res, u, v))
     if weight != sum(g.weight(d) for d in cut):
         raise RuntimeError(f"cut {sorted(cut)} does not weigh the flow value {weight}")
     return weight, cut

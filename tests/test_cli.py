@@ -369,6 +369,18 @@ def test_sweep_oracle_max_n_is_bounded_by_the_ceiling(capsys, monkeypatch):
         assert "--oracle-max-n must be in [0, 5000]" in capsys.readouterr().err
 
 
+def test_sweep_jobs_below_1_is_a_usage_error(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("no row may be computed")
+
+    monkeypatch.setattr("pgk.cli.build_report", never)
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--max-n", "5", "--jobs", value])
+        assert exc.value.code == 1
+        assert f"--jobs must be at least 1, got {value}" in capsys.readouterr().err
+
+
 def test_sweep_streams_rows(capsys, monkeypatch):
     # each row is printed as soon as it is computed, not after the last one
     def stop_at_5(n, **kwargs):

@@ -3,19 +3,34 @@
 The oracle is itself validated here against exhaustive subset removal -- for
 small n, literally every vertex subset below the reported connectivity is
 checked not to disconnect the graph, and some subset of exactly that size is
-found that does. Its source rule is additionally compared against the two
-unpruned pair loops it replaced, kept here as references: one over every
-vertex pair, one over every pair of twin-class representatives.
+found that does. Its flows on the twin-class network are additionally
+compared against two pair loops on the per-element node-split network, kept
+here as references: one over every vertex pair, which does not rely on the
+twin lemma, and one over every pair of twin-class representatives.
 """
 
 from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from pgk import element_adjacency, kappa_element_oracle
-from pgk.element_oracle import MAX_ELEMENT_N, _source_rule_kappa, _split_network
+from pgk.element_oracle import MAX_ELEMENT_N, _twin_class_kappa
+
+
+def _split_network(adj: np.ndarray) -> csr_matrix:
+    # entry node of x is x, exit node is n + x; vertex capacity 1 on the
+    # entry->exit arc, adjacency arcs capacity n (never part of a cut)
+    n = adj.shape[0]
+    xs, ys = np.nonzero(adj)
+    rows = np.concatenate([np.arange(n), xs + n])
+    cols = np.concatenate([np.arange(n) + n, ys])
+    data = np.concatenate(
+        [np.ones(n, dtype=np.int32), np.full(len(xs), n, dtype=np.int32)]
+    )
+    return csr_matrix((data, (rows, cols)), shape=(2 * n, 2 * n), dtype=np.int32)
 
 
 def _neighbourhood_class_reps(adj: np.ndarray) -> list[int]:
@@ -27,8 +42,9 @@ def _neighbourhood_class_reps(adj: np.ndarray) -> list[int]:
 
 
 def kappa_pair_loop(adj: np.ndarray, twin_reduction: bool = True) -> int:
-    """The unpruned reference: the minimum flow over every non-adjacent pair
-    of twin-class representatives, or with twin_reduction=False of vertices."""
+    """The reference on the per-element split network: the minimum flow over
+    every non-adjacent pair of twin-class representatives, or with
+    twin_reduction=False of vertices."""
     n = adj.shape[0]
     if int(adj.sum()) == n * (n - 1):
         return max(n - 1, 0)
@@ -101,15 +117,15 @@ def test_reduced_and_unreduced_pair_loops_agree():
         assert kappa_element_oracle(n).kappa == kappa_pair_loop(adj) == full, n
 
 
-def test_source_rule_matches_twin_pair_loop():
+def test_oracle_matches_twin_pair_loop():
     for n in list(range(1, 121)) + [210, 270, 330]:
         assert kappa_element_oracle(n).kappa == kappa_pair_loop(element_adjacency(n)), n
 
 
-def test_source_rule_on_graphs_with_twins():
-    # On every power graph up to 700 the first class visited already stops
-    # the loop, so the stopping test is exercised here instead: dense random
-    # graphs whose vertices are blown up into twin cliques of 1-4 vertices.
+def test_twin_class_network_on_graphs_with_twins():
+    # Power graphs have few twin classes of very different sizes; dense
+    # random graphs whose vertices are blown up into twin cliques of 1-4
+    # vertices test the twin lemma against the loop over every vertex pair.
     rng = np.random.default_rng(0)
     for _ in range(300):
         k = int(rng.integers(4, 9))
@@ -118,7 +134,7 @@ def test_source_rule_on_graphs_with_twins():
         blob = np.repeat(np.arange(k), rng.integers(1, 5, size=k))
         adj = (base | np.eye(k, dtype=bool))[np.ix_(blob, blob)]
         np.fill_diagonal(adj, False)
-        assert _source_rule_kappa(adj) == kappa_pair_loop(adj)
+        assert _twin_class_kappa(adj) == kappa_pair_loop(adj, twin_reduction=False)
 
 
 @pytest.fixture
@@ -134,21 +150,29 @@ def flow_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n, kappa, flows", [(210, 70, 7), (270, 108, 7)])
-def test_source_rule_flow_count(flow_calls, n, kappa, flows):
-    # the twin-representative pair loop runs 55 flows at 210 and 46 at 270
+@pytest.mark.parametrize("n, kappa, flows", [(210, 70, 55), (270, 108, 46)])
+def test_oracle_flow_count(flow_calls, n, kappa, flows):
+    # one flow per non-adjacent pair of twin classes, as in the pair loop
     assert kappa_element_oracle(n).kappa == kappa
     assert len(flow_calls) == flows
 
 
-def test_source_rule_stops_when_visited_reaches_the_bound(flow_calls):
-    # The 4-cycle has no universal vertex and four one-vertex twin classes.
-    # The flows from 0 and 1 give best = 2, and the visited size 2 reaches
-    # it, so the flow from 2 is skipped (stopping only above best runs 3).
+@pytest.mark.parametrize("n", [210, 270])
+def test_oracle_flows_run_on_the_twin_class_network(flow_calls, n):
+    # 16 divisors, and the universal classes 1 and n are twins: 15 classes,
+    # so a 30-node split network instead of the 2n-node per-element one
+    kappa_element_oracle(n)
+    assert flow_calls
+    assert all(network.shape == (30, 30) for network, *_ in flow_calls)
+
+
+def test_four_cycle_runs_one_flow_per_non_adjacent_class_pair(flow_calls):
+    # The 4-cycle has four one-vertex twin classes and two non-adjacent
+    # pairs, {0, 2} and {1, 3}, each separated by the other pair.
     adj = np.array(
         [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=bool
     )
-    assert _source_rule_kappa(adj) == 2
+    assert _twin_class_kappa(adj) == 2
     assert len(flow_calls) == 2
 
 
