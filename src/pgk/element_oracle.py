@@ -8,14 +8,16 @@ integral power of the other, with the powers of y found by literally
 enumerating k*y mod n for k = 0..n-1. Connectivity is then the minimum over
 every non-adjacent pair of twin (closed-neighbourhood) classes, read off the
 adjacency matrix, of a max flow on the node-split network of those classes
-(class size on each class's own arc, scipy's compiled solver). No pair is
-pruned; ``_twin_class_kappa`` proves why the twin classes suffice. The test
-suite checks the oracle against the loop over every vertex pair on the full
-n-vertex network, and against exhaustive removal of every vertex subset at
-small n.
+(class size on each class's own arc). No pair is pruned: all the pair flows
+run as one call of scipy's compiled solver on the disjoint union of one
+network copy per pair. ``_twin_class_kappa`` proves why the twin classes
+suffice and why the union gives every pair's value. The test suite checks
+the oracle against one flow per pair on the class network, against the loop
+over every vertex pair on the full n-vertex network, and against exhaustive
+removal of every vertex subset at small n.
 
 The oracle's one size limit is ``MAX_ELEMENT_N``; nothing lifts it. On a
-2-CPU x86 machine the slowest n measured below it, 4620, takes about 0.7 s.
+2-CPU x86 machine the slowest n measured below it, 4620, takes about 0.5 s.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from scipy.sparse.csgraph import maximum_flow
 from .connectivity import KappaResult
 
 #: The only limit on n. Near it the dense n x n boolean matrices of the
-#: adjacency build dominate time and memory; the peak is about 120 MB.
+#: adjacency build dominate time and memory, and the union network of the
+#: twin-class pairs adds up to about 30 MB; the peak is about 140 MB, at
+#: n = 4680 (48 divisors).
 MAX_ELEMENT_N = 5000
 
 
@@ -64,29 +68,52 @@ def _twin_class_kappa(adj: np.ndarray) -> int:
     and would join the two components. So every minimum separator is a cut
     between two non-adjacent classes of this network, and every class cut
     is a vertex separator of the same weight.
+
+    All p pair flows run as one max flow on the disjoint union of p copies
+    of the class network, copy c for pair (u_c, v_c), with a super source s
+    feeding exit(u_c) and a super sink t fed by entry(v_c), both by arcs of
+    capacity n. Union lemma: each copy's max flow is at most n - 2 < n, the
+    weight of all classes but u_c and v_c, so the super arcs never bind; the
+    union's max flow value is therefore the sum of the copies' max flows,
+    and a flow reaching that sum must be a max flow on every copy. Its flow
+    on s -> exit(u_c) is then copy c's pair value.
     """
     n = adj.shape[0]
     closed = adj.copy()
     np.fill_diagonal(closed, True)
-    # packed rows compare 8 vertices per byte
-    _, first, sizes = np.unique(
-        np.packbits(closed, axis=1), axis=0, return_index=True, return_counts=True
-    )
+    # twins have equal packed closed rows; classes in order of first member
+    members: dict[bytes, list[int]] = {}
+    for x, row in enumerate(np.packbits(closed, axis=1)):
+        members.setdefault(row.tobytes(), []).append(x)
+    first = np.array([group[0] for group in members.values()])
+    sizes = np.array([len(group) for group in members.values()])
     k = len(first)
     linked = adj[np.ix_(first, first)]
+    us, vs = np.nonzero(np.triu(~linked, 1))
+    p = len(us)
+    if p == 0:
+        return n - 1
     xs, ys = np.nonzero(linked)
-    # entry node of class i is i, its exit node k + i
+    # in one copy the entry node of class i is i, its exit node k + i;
+    # copy c is offset by 2kc, and s, t come after the last copy
+    tails = np.concatenate([np.arange(k), xs + k])
+    heads = np.concatenate([np.arange(k) + k, ys])
+    caps = np.concatenate([sizes, np.full(len(xs), n)])
+    off = 2 * k * np.arange(p)
+    s, t = 2 * k * p, 2 * k * p + 1
     network = csr_matrix(
         (
-            np.concatenate([sizes, np.full(len(xs), n)]),
-            (np.concatenate([np.arange(k), xs + k]), np.concatenate([np.arange(k) + k, ys])),
+            np.concatenate([np.tile(caps, p), np.full(2 * p, n)]),
+            (
+                np.concatenate([(off[:, None] + tails).ravel(), np.full(p, s), off + vs]),
+                np.concatenate([(off[:, None] + heads).ravel(), off + k + us, np.full(p, t)]),
+            ),
         ),
-        shape=(2 * k, 2 * k),
+        shape=(s + 2, s + 2),
         dtype=np.int32,
     )
-    us, vs = np.nonzero(np.triu(~linked, 1))
-    flows = (maximum_flow(network, k + u, v).flow_value for u, v in zip(us.tolist(), vs.tolist()))
-    return int(min(flows, default=n - 1))
+    flow = maximum_flow(network, s, t).flow
+    return int(flow[s].toarray()[0, off + k + us].min())
 
 
 def kappa_element_oracle(n: int) -> KappaResult:

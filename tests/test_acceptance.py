@@ -2,7 +2,7 @@
 
 Run with -s to see one PASS line per criterion. The two expensive artifacts
 (the class-cut connectivity table up to 5000 and the element-oracle table up
-to 1000) are built once per module and shared.
+to 1500) are built once per module and shared.
 """
 
 import time
@@ -31,7 +31,7 @@ from pgk import (
 )
 
 MAX_N = 5000
-ORACLE_MAX_N = 1000
+ORACLE_MAX_N = 1500
 
 
 def _class_kappa(n: int) -> int:

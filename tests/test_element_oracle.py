@@ -3,10 +3,12 @@
 The oracle is itself validated here against exhaustive subset removal -- for
 small n, literally every vertex subset below the reported connectivity is
 checked not to disconnect the graph, and some subset of exactly that size is
-found that does. Its flows on the twin-class network are additionally
-compared against two pair loops on the per-element node-split network, kept
-here as references: one over every vertex pair, which does not rely on the
-twin lemma, and one over every pair of twin-class representatives.
+found that does. Its kappa is additionally compared against two pair loops
+on the per-element node-split network, kept here as references: one over
+every vertex pair, which does not rely on the twin lemma, and one over every
+pair of twin-class representatives. The pair values of its one max flow on
+the disjoint union of class networks are compared against a third
+reference, one flow per pair on a single twin-class network.
 """
 
 from itertools import combinations
@@ -56,6 +58,49 @@ def kappa_pair_loop(adj: np.ndarray, twin_reduction: bool = True) -> int:
         for v in candidates[i + 1 :]
         if not adj[u, v]
     )
+
+
+def twin_pair_flows(adj: np.ndarray) -> list[int]:
+    """The reference for the oracle's one max flow: a separate flow for every
+    non-adjacent pair of twin classes on the 2k-node class network (entry
+    node of class i is i, its exit node k + i), as sorted pair values."""
+    n = adj.shape[0]
+    closed = adj.copy()
+    np.fill_diagonal(closed, True)
+    _, first, sizes = np.unique(
+        np.packbits(closed, axis=1), axis=0, return_index=True, return_counts=True
+    )
+    k = len(first)
+    linked = adj[np.ix_(first, first)]
+    xs, ys = np.nonzero(linked)
+    network = csr_matrix(
+        (
+            np.concatenate([sizes, np.full(len(xs), n)]),
+            (np.concatenate([np.arange(k), xs + k]), np.concatenate([np.arange(k) + k, ys])),
+        ),
+        shape=(2 * k, 2 * k),
+        dtype=np.int32,
+    )
+    us, vs = np.nonzero(np.triu(~linked, 1))
+    return sorted(
+        int(maximum_flow(network, k + u, v).flow_value)
+        for u, v in zip(us.tolist(), vs.tolist())
+    )
+
+
+def twin_blown_up_graphs(count: int = 300):
+    """Dense random graphs whose vertices are blown up into twin cliques of
+    1-4 vertices. Power graphs have few twin classes of very different
+    sizes; these test the twin lemma on many more shapes."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        k = int(rng.integers(4, 9))
+        base = np.triu(rng.random((k, k)) < rng.uniform(0.6, 0.95), 1)
+        base |= base.T
+        blob = np.repeat(np.arange(k), rng.integers(1, 5, size=k))
+        adj = (base | np.eye(k, dtype=bool))[np.ix_(blob, blob)]
+        np.fill_diagonal(adj, False)
+        yield adj
 
 
 def brute_force_kappa(n: int) -> int:
@@ -123,57 +168,76 @@ def test_oracle_matches_twin_pair_loop():
 
 
 def test_twin_class_network_on_graphs_with_twins():
-    # Power graphs have few twin classes of very different sizes; dense
-    # random graphs whose vertices are blown up into twin cliques of 1-4
-    # vertices test the twin lemma against the loop over every vertex pair.
-    rng = np.random.default_rng(0)
-    for _ in range(300):
-        k = int(rng.integers(4, 9))
-        base = np.triu(rng.random((k, k)) < rng.uniform(0.6, 0.95), 1)
-        base |= base.T
-        blob = np.repeat(np.arange(k), rng.integers(1, 5, size=k))
-        adj = (base | np.eye(k, dtype=bool))[np.ix_(blob, blob)]
-        np.fill_diagonal(adj, False)
+    for adj in twin_blown_up_graphs():
         assert _twin_class_kappa(adj) == kappa_pair_loop(adj, twin_reduction=False)
 
 
 @pytest.fixture
 def flow_calls(monkeypatch):
-    """The argument tuples of every ``maximum_flow`` call the oracle makes."""
+    """The (arguments, result) of every ``maximum_flow`` call the oracle makes."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return maximum_flow(*args, **kwargs)
+        result = maximum_flow(*args, **kwargs)
+        calls.append((args, result))
+        return result
 
     monkeypatch.setattr("pgk.element_oracle.maximum_flow", counted)
     return calls
 
 
-@pytest.mark.parametrize("n, kappa, flows", [(210, 70, 55), (270, 108, 46)])
+def super_source_flows(calls) -> list[int]:
+    """The sorted flows on the super source's arcs of the oracle's one max
+    flow; none when it ran no flow."""
+    assert len(calls) <= 1
+    flows = []
+    for (network, source, _sink), result in calls:
+        flows += result.flow[source].toarray()[0, network[source].indices].tolist()
+    return sorted(flows)
+
+
+@pytest.mark.parametrize(
+    "n, kappa, flows", [(210, 70, 1), (270, 108, 1), (13, 12, 0), (16, 15, 0), (27, 26, 0)]
+)
 def test_oracle_flow_count(flow_calls, n, kappa, flows):
-    # one flow per non-adjacent pair of twin classes, as in the pair loop
+    # every pair's flow runs in one max flow; a complete graph needs none
     assert kappa_element_oracle(n).kappa == kappa
     assert len(flow_calls) == flows
 
 
-@pytest.mark.parametrize("n", [210, 270])
-def test_oracle_flows_run_on_the_twin_class_network(flow_calls, n):
-    # 16 divisors, and the universal classes 1 and n are twins: 15 classes,
-    # so a 30-node split network instead of the 2n-node per-element one
+@pytest.mark.parametrize("n, size", [(210, 1652), (270, 1382)])
+def test_oracle_flow_runs_on_the_union_of_pair_networks(flow_calls, n, size):
+    # 16 divisors, and the universal classes 1 and n are twins: 15 classes.
+    # 55 (210) or 46 (270) non-adjacent class pairs each get a 30-node copy
+    # of the class network, plus the super source and sink.
     kappa_element_oracle(n)
-    assert flow_calls
-    assert all(network.shape == (30, 30) for network, *_ in flow_calls)
+    [((network, *_), _)] = flow_calls
+    assert network.shape == (size, size)
 
 
-def test_four_cycle_runs_one_flow_per_non_adjacent_class_pair(flow_calls):
+def test_one_flow_gives_every_pair_value(flow_calls):
+    for n in list(range(1, 121)) + [210, 270, 330]:
+        flow_calls.clear()
+        adj = element_adjacency(n)
+        _twin_class_kappa(adj)
+        assert super_source_flows(flow_calls) == twin_pair_flows(adj), n
+    for adj in twin_blown_up_graphs():
+        flow_calls.clear()
+        _twin_class_kappa(adj)
+        assert super_source_flows(flow_calls) == twin_pair_flows(adj)
+
+
+def test_four_cycle_runs_one_flow_on_two_pair_networks(flow_calls):
     # The 4-cycle has four one-vertex twin classes and two non-adjacent
-    # pairs, {0, 2} and {1, 3}, each separated by the other pair.
+    # pairs, {0, 2} and {1, 3}, each separated by the other pair: two
+    # 8-node copies of the class network plus the super source and sink.
     adj = np.array(
         [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=bool
     )
     assert _twin_class_kappa(adj) == 2
-    assert len(flow_calls) == 2
+    [((network, *_), _)] = flow_calls
+    assert network.shape == (18, 18)
+    assert super_source_flows(flow_calls) == [2, 2]
 
 
 def test_oracle_complete_graphs():
