@@ -7,7 +7,10 @@ exactly by node-splitting max-flows (each class an arc of capacity phi(d),
 adjacency arcs unbounded) from a few heavy source classes to the classes not
 adjacent to them; ``kappa_class`` states the source rule and its proof.
 Each call builds one network for the quotient (``_ClassNet``) and runs
-every flow on its own copy of the capacities.
+every flow on its own copy of the capacities. A flow first charges the
+classes comparable to both endpoints, which lie in every separator, then
+runs an iterative Dinic on the rest; ``_ClassNet.flow`` proves the charge.
+The flows are plain Python and borrow nothing from the oracle's solver.
 Complete quotients (n = 1 or a prime power) have no non-adjacent pair and
 kappa = n - 1 by convention, kappa(P(C_1)) = 0 included.
 
@@ -19,8 +22,8 @@ the paper's cases n falls in.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from math import gcd
 from typing import Collection, Iterator
 
 from .quotient import QuotientGraph
@@ -52,66 +55,39 @@ class _ClassNet:
     """The class-cut network of one quotient, built once and never changed.
 
     Divisor i is split into an entry node 2i and an exit node 2i + 1, joined
-    by an arc of capacity phi(d); comparable classes are joined exit to
+    by arc 2i of capacity phi(d); comparable classes are joined exit to
     entry, both ways, by arcs too heavy for any cut. Arc e runs to head[e]
-    with capacity cap[e], and e ^ 1 is its reverse. Each Dinic max flow runs
-    on a fresh copy of ``cap``, so the residual lists of several flows can be
-    kept side by side. Callers name divisors only; the node numbering stays
-    inside this class.
+    with capacity cap[e], e ^ 1 is its reverse, and arcs[a] lists the arcs
+    out of node a. Each max flow runs on a fresh copy of ``cap``, so the
+    residual lists of several flows can be kept side by side. Callers name
+    divisors only; the node numbering stays inside this class.
     """
 
     def __init__(self, g: QuotientGraph) -> None:
         self.g = g
         ds = g.divisors
-        self.arcs: list[list[int]] = [[] for _ in range(2 * len(ds))]
-        self.head: list[int] = []
-        self.cap: list[int] = []
         inf = g.n + 1  # exceeds the total class weight, so adjacency arcs never cut
+        # node a starts with arc a: class arc 2i leaves entry 2i, and its
+        # reverse 2i + 1 leaves exit 2i + 1
+        arcs: list[list[int]] = [[a] for a in range(2 * len(ds))]
+        head = [a ^ 1 for a in range(2 * len(ds))]
+        cap: list[int] = []
+        for w in g.weights:
+            cap += (w, 0)
         for i, d in enumerate(ds):
-            self._add_arc(2 * i, 2 * i + 1, g.weights[i])
             for j in range(i + 1, len(ds)):
                 if ds[j] % d == 0:
-                    self._add_arc(2 * i + 1, 2 * j, inf)
-                    self._add_arc(2 * j + 1, 2 * i, inf)
-
-    def _add_arc(self, a: int, b: int, cap: int) -> None:
-        e = len(self.head)
-        self.arcs[a].append(e)
-        self.arcs[b].append(e + 1)
-        self.head += (b, a)
-        self.cap += (cap, 0)
-
-    def _levels(self, res: list[int], s: int, t: int) -> list[int] | None:
-        level = [-1] * len(self.arcs)
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            a = queue.popleft()
-            for e in self.arcs[a]:
-                b = self.head[e]
-                if res[e] > 0 and level[b] < 0:
-                    level[b] = level[a] + 1
-                    queue.append(b)
-        return level if level[t] >= 0 else None
-
-    def _push(
-        self, res: list[int], a: int, t: int, amount: int, level: list[int], it: list[int]
-    ) -> int:
-        if a == t:
-            return amount
-        arcs = self.arcs[a]
-        end = len(arcs)
-        while it[a] < end:
-            e = arcs[it[a]]
-            b = self.head[e]
-            if res[e] > 0 and level[b] == level[a] + 1:
-                pushed = self._push(res, b, t, min(amount, res[e]), level, it)
-                if pushed > 0:
-                    res[e] -= pushed
-                    res[e ^ 1] += pushed
-                    return pushed
-            it[a] += 1
-        return 0
+                    # exit(i) -> entry(j) is arc e, exit(j) -> entry(i) is e + 2
+                    e = len(cap)
+                    arcs[2 * i + 1].append(e)
+                    arcs[2 * j].append(e + 1)
+                    arcs[2 * j + 1].append(e + 2)
+                    arcs[2 * i].append(e + 3)
+                    head += (2 * j, 2 * i + 1, 2 * i, 2 * j + 1)
+                    cap += (inf, 0, inf, 0)
+        self.arcs = arcs
+        self.head = head
+        self.cap = cap
 
     def flow(self, u: int, v: int, limit: int | None = None) -> tuple[int, list[int]]:
         """Max flow from class u to class v, with its residual capacities.
@@ -119,20 +95,86 @@ class _ClassNet:
         May stop early once the flow reaches ``limit``: a value below
         ``limit`` is the exact max flow, with the residual network to match;
         an early stop returns a value >= limit.
+
+        Common-neighbour charge (Menger): a class c comparable to both u and
+        v, that is a divisor of gcd(u, v) or a multiple of lcm(u, v), lies
+        on the path u, c, v, so it is in every u-v separator. In the network
+        entry(c) is on the source side of every finite cut, because an
+        infinite arc comes from exit(u), and exit(c) is on the sink side,
+        because an infinite arc goes to entry(v); so arc c crosses every
+        finite cut. Its capacity is added to the value before any search and
+        the arc is zeroed in the residual list. Every finite cut then loses
+        the same charge, so the minimum cuts are the same node sets, and a
+        charge that reaches ``limit`` returns before any search. No flow can
+        pass entry(c): its class arc is empty, and its other arcs out are the
+        reverses of arcs into it, which carry no flow. So after the flow
+        entry(c) is still reached from exit(u) and exit(c) still reaches
+        entry(v), and ``cuts`` reports c in every cut.
+
+        The rest is Dinic's algorithm (1970): a BFS by frontier that stops
+        at the sink's level, then a blocking flow found by a DFS with
+        current-arc pointers that drops dead-end nodes from the level graph.
         """
-        s, t = 2 * self.g.index(u) + 1, 2 * self.g.index(v)
+        g = self.g
+        out, head = self.arcs, self.head
+        s, t = 2 * g.index(u) + 1, 2 * g.index(v)
         res = self.cap.copy()
         value = 0
+        common = gcd(u, v)
+        joint = u // common * v
+        for i, d in enumerate(g.divisors):
+            if common % d == 0 or d % joint == 0:
+                value += res[2 * i]
+                res[2 * i] = 0
         while limit is None or value < limit:
-            level = self._levels(res, s, t)
-            if level is None:
+            level = [-1] * len(out)
+            level[s] = 0
+            frontier = [s]
+            depth = 0
+            while frontier and level[t] < 0:
+                depth += 1
+                reached = []
+                for a in frontier:
+                    for e in out[a]:
+                        b = head[e]
+                        if res[e] and level[b] < 0:
+                            level[b] = depth
+                            reached.append(b)
+                frontier = reached
+            if level[t] < 0:
                 break
-            it = [0] * len(self.arcs)
-            while True:
-                pushed = self._push(res, s, t, 1 << 62, level, it)
-                if pushed == 0:
-                    break
-                value += pushed
+            it = [0] * len(out)
+            nodes = [s]  # the DFS path's nodes; path holds its arcs
+            path: list[int] = []
+            while nodes:
+                a = nodes[-1]
+                if a == t:
+                    pushed = min(res[e] for e in path)
+                    for e in path:
+                        res[e] -= pushed
+                        res[e ^ 1] += pushed
+                    value += pushed
+                    if limit is not None and value >= limit:
+                        return value, res
+                    # retreat to the tail of the first arc the push emptied
+                    k = next(k for k, e in enumerate(path) if not res[e])
+                    del nodes[k + 1 :], path[k:]
+                    continue
+                arcs = out[a]
+                want = level[a] + 1
+                for i in range(it[a], len(arcs)):
+                    e = arcs[i]
+                    b = head[e]
+                    if res[e] and level[b] == want:
+                        it[a] = i
+                        nodes.append(b)
+                        path.append(e)
+                        break
+                else:
+                    level[a] = -1  # dead end: no augmenting path passes a this phase
+                    nodes.pop()
+                    if path:
+                        path.pop()
         return value, res
 
     def _closure(

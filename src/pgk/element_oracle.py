@@ -30,7 +30,7 @@ from .connectivity import KappaResult
 
 #: The only limit on n. Near it the dense n x n boolean matrices of the
 #: adjacency build dominate time and memory, and the union network of the
-#: twin-class pairs adds up to about 30 MB; the peak is about 140 MB, at
+#: twin-class pairs adds up to about 30 MB; the peak is about 120 MB, at
 #: n = 4680 (48 divisors).
 MAX_ELEMENT_N = 5000
 
@@ -79,11 +79,13 @@ def _twin_class_kappa(adj: np.ndarray) -> int:
     on s -> exit(u_c) is then copy c's pair value.
     """
     n = adj.shape[0]
-    closed = adj.copy()
-    np.fill_diagonal(closed, True)
-    # twins have equal packed closed rows; classes in order of first member
+    # twins have equal packed closed rows, so set each row's own bit after
+    # packing; classes in order of first member
+    closed = np.packbits(adj, axis=1)
+    own = np.arange(n)
+    closed[own, own // 8] |= (0x80 >> (own % 8)).astype(np.uint8)
     members: dict[bytes, list[int]] = {}
-    for x, row in enumerate(np.packbits(closed, axis=1)):
+    for x, row in enumerate(closed):
         members.setdefault(row.tobytes(), []).append(x)
     first = np.array([group[0] for group in members.values()])
     sizes = np.array([len(group) for group in members.values()])

@@ -22,7 +22,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable
 
-from .arith import divisors, totient
+from .arith import divisors, factorize
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,18 @@ def build_quotient(n: int) -> QuotientGraph:
     """Quotient graph of P(C_n): nodes are divisors of n in ascending order."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    ds = tuple(divisors(n))
-    return QuotientGraph(n=n, divisors=ds, weights=tuple(totient(d) for d in ds))
+    # phi is multiplicative, so each divisor's weight is built beside it
+    classes = [(1, 1)]
+    for p, e in factorize(n).factors:
+        classes = [
+            (d * p**k, w * (p - 1) * p ** (k - 1) if k else w)
+            for d, w in classes
+            for k in range(e + 1)
+        ]
+    classes.sort()
+    return QuotientGraph(
+        n=n, divisors=tuple(d for d, _ in classes), weights=tuple(w for _, w in classes)
+    )
 
 
 def subgroup_classes(n: int, d: int) -> frozenset[int]:

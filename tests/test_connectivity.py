@@ -1,5 +1,7 @@
 """Class-level connectivity: kappa, pairwise cuts, witnesses."""
 
+import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -48,6 +50,93 @@ def kappa_all_pairs(g):
         if best is None or w < best:
             best = w
     return best
+
+
+def reference_flow(net, u, v):
+    """Reference: the plain recursive Dinic on an uncharged copy of ``cap``,
+    with a full BFS per phase, returning the max flow value and residuals."""
+    s, t = 2 * net.g.index(u) + 1, 2 * net.g.index(v)
+    res = net.cap.copy()
+
+    def levels():
+        level = [-1] * len(net.arcs)
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            a = queue.popleft()
+            for e in net.arcs[a]:
+                b = net.head[e]
+                if res[e] > 0 and level[b] < 0:
+                    level[b] = level[a] + 1
+                    queue.append(b)
+        return level if level[t] >= 0 else None
+
+    def push(a, amount, level, it):
+        if a == t:
+            return amount
+        arcs = net.arcs[a]
+        while it[a] < len(arcs):
+            e = arcs[it[a]]
+            b = net.head[e]
+            if res[e] > 0 and level[b] == level[a] + 1:
+                pushed = push(b, min(amount, res[e]), level, it)
+                if pushed > 0:
+                    res[e] -= pushed
+                    res[e ^ 1] += pushed
+                    return pushed
+            it[a] += 1
+        return 0
+
+    value = 0
+    while (level := levels()) is not None:
+        it = [0] * len(net.arcs)
+        while pushed := push(s, 1 << 62, level, it):
+            value += pushed
+    return value, res
+
+
+def common_neighbours(g, u, v):
+    return [c for c in g.divisors if g.adjacent(c, u) and g.adjacent(c, v)]
+
+
+def check_flows_match_reference(g, pairs):
+    net = _ClassNet(g)
+    for u, v in pairs:
+        value, res = net.flow(u, v)
+        want, want_res = reference_flow(net, u, v)
+        assert value == want, (g.n, u, v)
+        assert set(net.cuts(res, u, v)) == set(net.cuts(want_res, u, v)), (g.n, u, v)
+        # a charged class arc is emptied and carries no flow
+        for c in common_neighbours(g, u, v):
+            i = g.index(c)
+            assert res[2 * i] == res[2 * i + 1] == 0, (g.n, u, v, c)
+
+
+def test_charged_flow_matches_reference_up_to_400():
+    for n in range(2, 401):
+        g = build_quotient(n)
+        check_flows_match_reference(g, g.non_adjacent_pairs())
+
+
+@pytest.mark.parametrize("n", [2310, 55440])
+def test_charged_flow_matches_reference_on_sampled_pairs(n):
+    g = build_quotient(n)
+    pairs = g.non_adjacent_pairs()
+    check_flows_match_reference(g, random.Random(n).sample(pairs, 40))
+
+
+@pytest.mark.parametrize("limit", [3, 6])
+def test_charge_reaching_the_limit_returns_before_any_augmentation(limit):
+    # 4 and 6 in C_12 share the neighbours 1, 2 and 12, charged 1 + 1 + 4 = 6
+    g = build_quotient(12)
+    net = _ClassNet(g)
+    assert common_neighbours(g, 4, 6) == [1, 2, 12]
+    value, res = net.flow(4, 6, limit=limit)
+    assert value == 6 >= limit
+    charged = net.cap.copy()
+    for d in (1, 2, 12):
+        charged[2 * g.index(d)] = 0
+    assert res == charged
 
 
 def min_cuts_by_subsets(g, u, v, weight):

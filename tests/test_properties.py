@@ -1,7 +1,7 @@
 """Property tests over random n, and lints on src/pgk: no asserts, no
 environment variables, an element oracle independent of the class route, a
-class route that imports only the quotient, and an ``__all__`` that matches
-the package."""
+class route that imports only the quotient and no numeric library, and an
+``__all__`` that matches the package."""
 
 import ast
 from pathlib import Path
@@ -112,6 +112,20 @@ def test_class_route_imports_only_the_quotient():
     # the class cut computes kappa only; the case label is the report's
     imported = pgk_imports("connectivity.py")
     assert imported and all(name.startswith(".quotient.") for name in imported)
+
+
+@pytest.mark.parametrize("name", ["connectivity.py", "quotient.py"])
+def test_class_route_imports_no_numeric_library(name):
+    # the class flow is its own pure-Python code: it may never borrow the
+    # element oracle's scipy solver or numpy arrays
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    top = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            top |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            top.add(node.module.split(".")[0])
+    assert top and not top & {"numpy", "scipy"}
 
 
 def test_all_matches_the_package_imports():

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from pgk import (
+    QuotientGraph,
     build_quotient,
     components_without,
+    divisors,
     element_adjacency,
     expand_to_elements,
     subgroup_classes,
@@ -35,6 +37,13 @@ def test_quotient_12_non_adjacent_pairs():
     g = build_quotient(12)
     assert g.non_adjacent_pairs() == [(2, 3), (3, 4), (4, 6)]
     assert not g.is_complete
+
+
+def test_quotient_weights_are_the_totients_of_the_divisors():
+    # the one-pass build against the divisor list and a totient per divisor
+    for n in range(1, 5001):
+        ds = tuple(divisors(n))
+        assert build_quotient(n) == QuotientGraph(n, ds, tuple(totient(d) for d in ds)), n
 
 
 def test_quotient_rejects_zero():
