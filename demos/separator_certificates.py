@@ -4,8 +4,11 @@
 Shows Z(r, k) for a few n, proves the counts by listing every minimum
 separator from the class cut's tight flows (unique in the 2*phi(P) > P and
 r = 3 cases, one per top exponent for n = 2^a p^b), and prints the
-hand-built 2310 certificate that beats the general upper bound.
+hand-built 2310 certificate that beats the general upper bound. Exits 1 if
+the certificate has no witness or is not the only minimum separator.
 """
+
+import sys
 
 from pgk import (
     build_quotient,
@@ -40,9 +43,12 @@ bound = upper_bound_ii(factorize(2310))
 print(f"  bound: kappa <= {bound} = phi(n) + {bound - phi}")
 print(f"  but removing {sorted(sep.classes)}")
 print(f"  disconnects at weight {sep.weight} = phi(n) + {sep.weight - phi}")
-assert sep.witness is not None
+if sep.witness is None:
+    sys.exit("FAILED: the 2310 certificate carries no witness")
 print(f"  witness: class {sorted(sep.witness.block_a)} separates from the rest")
 seps = enumerate_min_separators(build_quotient(2310))
 print(f"  the class cut shows this is optimal: kappa(P(C_2310)) = {seps[0].weight}")
 only = [s.classes for s in seps] == [sep.classes]
 print(f"  and that it is the only minimum separator: {only}")
+if not only:
+    sys.exit("FAILED: the 2310 certificate is not the only minimum separator")

@@ -26,11 +26,11 @@ from .formulas import (
     PRIME_POWER,
     R3_EXACT,
     CaseTag,
-    case_i_expression,
     classify,
     corollary_p1_ge_r,
     kappa_formula,
     lemma4_slack,
+    size_Z_formula,
     upper_bound_ii,
 )
 from .quotient import (
@@ -47,7 +47,6 @@ from .separators import (
     enumerate_min_separators,
     example_2310,
     optimal_Z,
-    size_Z_formula,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +73,7 @@ __all__ = [
     "CaseTag",
     "classify",
     "kappa_formula",
-    "case_i_expression",
+    "size_Z_formula",
     "upper_bound_ii",
     "corollary_p1_ge_r",
     "lemma4_slack",
@@ -85,7 +84,6 @@ __all__ = [
     "R3_EXACT",
     "ClassSeparator",
     "build_Z",
-    "size_Z_formula",
     "optimal_Z",
     "example_2310",
     "check_disconnects",

@@ -115,7 +115,7 @@ def build_report(n: int, *, use_element: bool = False) -> Report:
     f = factorize(n)
     c = classify(f)
     formula = kappa_formula(f)
-    bound = upper_bound_ii(f) if c.tag in (CASE_II_BOUND, R3_EXACT) else None
+    bound = upper_bound_ii(f)
     computed = kappa_class(build_quotient(n)).kappa
     element = kappa_element_oracle(n).kappa if use_element else None
     agreement = (
@@ -286,14 +286,14 @@ def cmd_bound(args: argparse.Namespace) -> int:
     n = args.n
     f = factorize(n)
     c = classify(f)
-    if c.tag not in (CASE_II_BOUND, R3_EXACT):
+    bound = upper_bound_ii(f)
+    if bound is None:
         print(
             f"error: the upper bound needs 2*phi(P) < P; n={n} is {c.tag} "
             f"(P={c.P}, phi(P)={c.phiP})",
             file=sys.stderr,
         )
         return 1
-    bound = upper_bound_ii(f)
     if args.json:
         print(
             json.dumps(

@@ -1,11 +1,15 @@
-"""Case classification and closed forms for kappa(P(C_n)).
+"""Case classification and the one closed form, |Z(r, k)|, behind every value.
 
 Write n = p_1^e_1 * ... * p_r^e_r with p_1 < ... < p_r, and for r >= 2 put
+P = p_1 * ... * p_{r-1} (every prime but the largest) and
+B = p_1^(e_1-1) * ... * p_{r-1}^(e_{r-1}-1). The layer separator Z(r, k) of
+separators.build_Z, 0 <= k <= e_r - 1, removes
 
-    P = p_1 * p_2 * ... * p_{r-1}    (all primes except the largest)
-    B = p_1^(e_1-1) * ... * p_{r-1}^(e_{r-1}-1).
+    |Z(r, k)| = phi(n) + B * (p_r^(e_r-1) * phi(P) + p_r^k * (P - 2*phi(P)))
 
-The sign of 2*phi(P) - P decides how much is known exactly:
+elements. That is linear in p_r^k, so the best layer is k = e_r - 1 when
+2*phi(P) > P and k = 0 otherwise (every k ties at equality). Each exact value
+and the bound below is |Z| at that layer; the paper prints them case by case:
 
   2*phi(P) > P    "case-i"         kappa = phi(n) + B * p_r^(e_r-1) * (P - phi(P))
   2*phi(P) = P    "case-iii"       forces r = 2, p_1 = 2;
@@ -18,10 +22,10 @@ The sign of 2*phi(P) - P decides how much is known exactly:
                                    kappa <= phi(n) + B * (P + phi(P) * (p_r^(e_r-1) - 2))
 
 n = 1 and prime powers have a complete power graph ("prime-power",
-kappa = n - 1). The exact value and the bound agree whenever e_r = 1, and for
-r = 3 the bound collapses algebraically to the r3-exact value. The bound can
-be strict: at n = 2310 the true connectivity is phi(n) + 150 while the bound
-gives phi(n) + 162.
+kappa = n - 1). The bound |Z(r, 0)| equals the case-i expression
+|Z(r, e_r - 1)| when e_r = 1 and is exact when r = 3. It can be strict: at
+n = 2310 the true connectivity is phi(n) + 150 while the bound gives
+phi(n) + 162.
 """
 
 from __future__ import annotations
@@ -66,73 +70,63 @@ def classify(f: Factorization) -> CaseTag:
     return CaseTag(tag, P, phiP)
 
 
-def _small_prime_part(f: Factorization) -> int:
-    """B = product over the first r-1 primes of p_i^(e_i - 1)."""
-    return prod(p ** (e - 1) for p, e in f.factors[:-1])
+def best_layer(f: Factorization, c: CaseTag) -> int:
+    """The k minimizing |Z(r, k)|: e_r - 1 when 2*phi(P) > P, else 0.
 
-
-def case_i_expression(f: Factorization) -> int:
-    """The exact-value expression phi(n) + B * p_r^(e_r-1) * (P - phi(P)).
-
-    This is kappa whenever 2*phi(P) >= P; evaluating it outside that range is
-    allowed (the e_r = 1 coincidence checks need it) but it is then only an
-    expression, not the connectivity.
+    c is classify(f), passed in so the choice costs no second classification.
     """
-    if f.r < 2:
-        raise ValueError("expression requires at least two distinct primes")
-    c = classify(f)
+    return f.exponents[-1] - 1 if c.tag == CASE_I else 0
+
+
+def _size_Z(f: Factorization, c: CaseTag, k: int) -> int:
     p_r, e_r = f.factors[-1]
-    return totient(f.n) + _small_prime_part(f) * p_r ** (e_r - 1) * (c.P - c.phiP)
+    B = prod(p ** (e - 1) for p, e in f.factors[:-1])
+    return totient(f.n) + B * (p_r ** (e_r - 1) * c.phiP + p_r**k * (c.P - 2 * c.phiP))
+
+
+def size_Z_formula(f: Factorization, k: int) -> int:
+    """|Z(r, k)| by the closed form above; always the weight of build_Z(f, k)."""
+    if f.r < 2:
+        raise ValueError("Z(r, k) requires at least two distinct primes")
+    e_r = f.exponents[-1]
+    if not 0 <= k <= e_r - 1:
+        raise ValueError(f"k must satisfy 0 <= k <= {e_r - 1}, got {k}")
+    return _size_Z(f, classify(f), k)
 
 
 def kappa_formula(f: Factorization) -> int | None:
     """Exact kappa(P(C_n)) in closed form, or None where only a bound is known.
 
-    Covers prime powers (n - 1), case-i, case-iii and the r = 3 exact case;
-    returns None for case-ii-bound with r >= 4.
+    n - 1 for prime powers, None for case-ii-bound with r >= 4, and |Z| at
+    the best layer in case-i, case-iii and r3-exact.
     """
-    c = classify(f)
-    if c.tag == PRIME_POWER:
+    if f.r <= 1:
         return f.n - 1
-    if c.tag in (CASE_I, CASE_III):
-        return case_i_expression(f)
-    if c.tag == R3_EXACT:
-        (p1, e1), (p2, e2), (p3, e3) = f.factors
-        return totient(f.n) + p1 ** (e1 - 1) * p2 ** (e2 - 1) * (
-            (p2 - 1) * p3 ** (e3 - 1) + 2
-        )
-    return None
+    c = classify(f)
+    if c.tag == CASE_II_BOUND:
+        return None
+    return _size_Z(f, c, best_layer(f, c))
 
 
-def upper_bound_ii(f: Factorization) -> int:
-    """Upper bound phi(n) + B * (P + phi(P) * (p_r^(e_r-1) - 2)).
+def upper_bound_ii(f: Factorization) -> int | None:
+    """Upper bound |Z(r, 0)| where r >= 2 and 2*phi(P) < P, else None.
 
-    Defined only when r >= 2 and 2*phi(P) < P. Coincides with the case-i
-    expression when e_r = 1 and with the r3-exact value when r = 3; strict
-    for some larger r (n = 2310 is the classic witness).
+    It is the exact value when r = 3, and strict for some larger r (n = 2310
+    is the classic witness).
     """
     c = classify(f)
-    if f.r < 2 or 2 * c.phiP >= c.P:
-        raise ValueError(f"bound requires 2*phi(P) < P; n={f.n} is {c.tag}")
-    p_r, e_r = f.factors[-1]
-    return totient(f.n) + _small_prime_part(f) * (
-        c.P + c.phiP * (p_r ** (e_r - 1) - 2)
-    )
+    return _size_Z(f, c, 0) if 2 * c.phiP < c.P else None
 
 
 def corollary_p1_ge_r(f: Factorization) -> int | None:
     """Exact kappa when the smallest prime is at least the number of primes.
 
     p_1 >= r forces 2*phi(P) >= P (with equality only for r = 2, p_1 = 2), so
-    the case-i expression is the connectivity. Returns None when p_1 < r or
-    r < 2.
+    kappa_formula gives the connectivity. Returns None when p_1 < r or r < 2.
     """
     if f.r < 2 or f.primes[0] < f.r:
         return None
-    tag = classify(f).tag
-    if tag not in (CASE_I, CASE_III):
-        raise RuntimeError(f"p1 >= r must land in an exact case, got {tag} for n={f.n}")
-    return case_i_expression(f)
+    return kappa_formula(f)
 
 
 def lemma4_slack(primes: Sequence[int]) -> int:

@@ -10,14 +10,14 @@ The layered family Z(r, k), defined for 0 <= k <= e_r - 1, removes
 
 What survives splits into the remaining alpha layer (orders divisible by
 alpha_0) and everything else, so Z(r, k) always disconnects the quotient.
-Its element count has a closed form (size_Z_formula), minimized at
-k = e_r - 1 when 2*phi(P) > P and at k = 0 when 2*phi(P) < P, with all k
-tied at equality. In the exactly-solved cases the optimum is not just small
-but IS the minimum separator: unique when 2*phi(P) > P and when r = 3 with
-2*phi(p_1 p_2) < p_1 p_2, and for n = 2^e_1 p^e_2 the e_2 sets Z(2, k) are
-precisely the minimum separators. enumerate_min_separators machine-checks
-statements of that kind: it lists every minimum separator from the tight
-flows of the class cut's source rule, at any number of divisors.
+Its element count |Z(r, k)| is formulas.size_Z_formula, and optimal_Z builds
+the layer formulas.best_layer picks. In the exactly-solved cases that layer
+is not just small but IS the minimum separator: unique when 2*phi(P) > P and
+when r = 3 with 2*phi(p_1 p_2) < p_1 p_2, and for n = 2^e_1 p^e_2 the e_2
+sets Z(2, k) are precisely the minimum separators. enumerate_min_separators
+machine-checks statements of that kind: it lists every minimum separator
+from the tight flows of the class cut's source rule, at any number of
+divisors.
 
 The layer sets are not always optimal: for n = 2310 a hand-built separator
 mixing the order classes of 210 and 330 with the subgroups of order 6, 10
@@ -27,11 +27,10 @@ and 15 has 630 = phi(n) + 150 elements, beating the k = 0 layer set's 642.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import prod
 
 from .arith import Factorization, alpha_beta, divisors, factorize, totient
 from .connectivity import SeparationWitness, min_cuts
-from .formulas import classify
+from .formulas import CASE_III, best_layer, classify
 from .quotient import QuotientGraph, build_quotient, components_without
 
 
@@ -66,39 +65,15 @@ def build_Z(f: Factorization, k: int) -> ClassSeparator:
     return ClassSeparator(n=f.n, classes=frozenset(classes), label=f"Z({f.r},{k})")
 
 
-def size_Z_formula(f: Factorization, k: int) -> int:
-    """Closed form for |Z(r, k)|:
-
-        phi(n) + B * (p_r^(e_r-1) * phi(P) + p_r^k * (P - 2*phi(P)))
-
-    with P the product of the smaller primes and B = prod p_i^(e_i - 1) over
-    them. Always equals the expanded size of build_Z(f, k).
-    """
-    if f.r < 2:
-        raise ValueError("Z(r, k) requires at least two distinct primes")
-    e_r = f.exponents[-1]
-    if not 0 <= k <= e_r - 1:
-        raise ValueError(f"k must satisfy 0 <= k <= {e_r - 1}, got {k}")
-    c = classify(f)
-    p_r = f.primes[-1]
-    B = prod(p ** (e - 1) for p, e in f.factors[:-1])
-    return totient(f.n) + B * (p_r ** (e_r - 1) * c.phiP + p_r**k * (c.P - 2 * c.phiP))
-
-
 def optimal_Z(f: Factorization) -> ClassSeparator:
     """The weight-minimizing member of the Z family.
 
     k = e_r - 1 when 2*phi(P) > P, k = 0 when 2*phi(P) < P; at equality every
     k gives the same weight and k = 0 is returned with a note saying so.
     """
-    if f.r < 2:
-        raise ValueError("Z(r, k) requires at least two distinct primes")
     c = classify(f)
-    gap = 2 * c.phiP - c.P
-    if gap > 0:
-        return build_Z(f, f.exponents[-1] - 1)
-    sep = build_Z(f, 0)
-    if gap == 0:
+    sep = build_Z(f, best_layer(f, c))
+    if c.tag == CASE_III:
         sep = replace(sep, note="all k in the Z family tie at this weight")
     return sep
 

@@ -13,7 +13,6 @@ import pytest
 from pgk import (
     build_quotient,
     build_Z,
-    case_i_expression,
     check_disconnects,
     classify,
     divisors,
@@ -29,6 +28,8 @@ from pgk import (
     upper_bound_ii,
     verify_witness,
 )
+
+from test_formulas import printed_bound_ii, printed_case_i, printed_r3
 
 MAX_N = 5000
 ORACLE_MAX_N = 1500
@@ -242,11 +243,16 @@ def test_criterion_7_bound_validity_and_coincidences(kappa_table):
         if 2 * c.phiP >= c.P:
             continue
         bound = upper_bound_ii(f)
+        assert bound == printed_bound_ii(f), f"bound is not the printed form at n={n}"
         assert kappa_table[n] <= bound, f"bound violated at n={n}"
+        # the coincidences compare the paper's printed forms, not two calls
+        # of the one closed form the library derives them all from
         if f.exponents[-1] == 1:
-            assert bound == case_i_expression(f), f"e_r=1 coincidence fails at n={n}"
+            assert bound == printed_case_i(f), f"e_r=1 coincidence fails at n={n}"
         if f.r == 3:
-            assert bound == kappa_formula(f), f"r=3 coincidence fails at n={n}"
+            assert bound == printed_r3(f) == kappa_formula(f), (
+                f"r=3 coincidence fails at n={n}"
+            )
         qualifying += 1
     _passed(
         "criterion 7 (upper bound)",

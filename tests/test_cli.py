@@ -244,9 +244,17 @@ def test_bound_2310(capsys):
 
 
 def test_bound_wrong_case_exits_1(capsys):
-    code, _, err = run(capsys, "bound", "45")
-    assert code == 1
-    assert "2*phi(P)" in err
+    # upper_bound_ii returns None here; the command still names the case
+    for n, evidence in [
+        (45, "case-i (P=3, phi(P)=2)"),
+        (36, "case-iii (P=2, phi(P)=1)"),
+        (8, "prime-power (P=1, phi(P)=1)"),
+        (1, "prime-power (P=1, phi(P)=1)"),
+    ]:
+        for argv in (["bound", str(n)], ["bound", str(n), "--json"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err == f"error: the upper bound needs 2*phi(P) < P; n={n} is {evidence}\n"
 
 
 def test_example2310(capsys):

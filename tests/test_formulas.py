@@ -1,5 +1,7 @@
 """Case classification, closed forms, the upper bound, and totient identities."""
 
+from math import prod
+
 import pytest
 
 from pgk import (
@@ -9,7 +11,6 @@ from pgk import (
     PRIME_POWER,
     R3_EXACT,
     build_quotient,
-    case_i_expression,
     classify,
     corollary_p1_ge_r,
     factorize,
@@ -17,8 +18,76 @@ from pgk import (
     kappa_formula,
     lemma4_slack,
     size_Z_formula,
+    totient,
     upper_bound_ii,
 )
+
+
+# The paper's printed expressions, kept as test-only references: the library
+# derives every one of them from the single count size_Z_formula. Each takes
+# P, phi(P) and B from the factorization itself, not from classify.
+
+
+def _P_phiP_B(f):
+    smaller = f.factors[:-1]
+    return (
+        prod(p for p, _ in smaller),
+        prod(p - 1 for p, _ in smaller),
+        prod(p ** (e - 1) for p, e in smaller),
+    )
+
+
+def printed_case_i(f):
+    """phi(n) + B * p_r^(e_r-1) * (P - phi(P)): kappa when 2*phi(P) >= P."""
+    P, phiP, B = _P_phiP_B(f)
+    p_r, e_r = f.factors[-1]
+    return totient(f.n) + B * p_r ** (e_r - 1) * (P - phiP)
+
+
+def printed_case_iii(f):
+    """phi(n) + 2^(e_1-1) * p_2^(e_2-1), for n = 2^e_1 * p_2^e_2."""
+    (_, e1), (p2, e2) = f.factors
+    return totient(f.n) + 2 ** (e1 - 1) * p2 ** (e2 - 1)
+
+
+def printed_r3(f):
+    """phi(n) + 2^(e_1-1) * p_2^(e_2-1) * ((p_2 - 1) * p_3^(e_3-1) + 2)."""
+    (_, e1), (p2, e2), (p3, e3) = f.factors
+    return totient(f.n) + 2 ** (e1 - 1) * p2 ** (e2 - 1) * (
+        (p2 - 1) * p3 ** (e3 - 1) + 2
+    )
+
+
+def printed_bound_ii(f):
+    """phi(n) + B * (P + phi(P) * (p_r^(e_r-1) - 2)), where 2*phi(P) < P."""
+    P, phiP, B = _P_phiP_B(f)
+    p_r, e_r = f.factors[-1]
+    return totient(f.n) + B * (P + phiP * (p_r ** (e_r - 1) - 2))
+
+
+def printed_kappa(f):
+    """The paper's exact value for n's case, or None in case-ii-bound."""
+    tag = classify(f).tag
+    if tag == PRIME_POWER:
+        return f.n - 1
+    if tag == CASE_I:
+        return printed_case_i(f)
+    if tag == CASE_III:
+        return printed_case_iii(f)
+    if tag == R3_EXACT:
+        return printed_r3(f)
+    return None
+
+
+def check_against_printed(f):
+    """kappa_formula and upper_bound_ii agree with the printed expressions."""
+    assert kappa_formula(f) == printed_kappa(f), f.n
+    if f.r < 2:
+        assert upper_bound_ii(f) is None, f.n
+        return
+    P, phiP, _ = _P_phiP_B(f)
+    expected = printed_bound_ii(f) if 2 * phiP < P else None
+    assert upper_bound_ii(f) == expected, f.n
 
 
 @pytest.mark.parametrize(
@@ -105,10 +174,14 @@ def test_upper_bound_known(n, bound):
     assert upper_bound_ii(factorize(n)) == bound
 
 
-@pytest.mark.parametrize("n", [45, 36, 8, 15])
-def test_upper_bound_rejects_wrong_case(n):
-    with pytest.raises(ValueError):
-        upper_bound_ii(factorize(n))
+@pytest.mark.parametrize("n", [1, 8, 15, 36, 45])
+def test_upper_bound_absent_outside_case_ii(n):
+    assert upper_bound_ii(factorize(n)) is None
+
+
+def test_formulas_match_the_printed_expressions():
+    for n in range(1, 2001):
+        check_against_printed(factorize(n))
 
 
 def test_bound_equals_case_i_expression_when_top_exponent_is_one():
@@ -116,16 +189,25 @@ def test_bound_equals_case_i_expression_when_top_exponent_is_one():
         f = factorize(n)
         if f.r < 2 or f.exponents[-1] != 1:
             continue
-        c = classify(f)
-        if 2 * c.phiP < c.P:
-            assert upper_bound_ii(f) == case_i_expression(f), n
+        bound = upper_bound_ii(f)
+        if bound is not None:
+            assert bound == printed_bound_ii(f) == printed_case_i(f), n
 
 
 def test_case_i_expression_is_the_peak_layer_size():
     for n in range(2, 501):
         f = factorize(n)
         if f.r >= 2:
-            assert case_i_expression(f) == size_Z_formula(f, f.exponents[-1] - 1), n
+            assert printed_case_i(f) == size_Z_formula(f, f.exponents[-1] - 1), n
+            assert printed_bound_ii(f) == size_Z_formula(f, 0), n
+
+
+def test_size_Z_formula_rejects_bad_input():
+    with pytest.raises(ValueError):
+        size_Z_formula(factorize(8), 0)  # single prime
+    for k in (-1, 2):
+        with pytest.raises(ValueError):
+            size_Z_formula(factorize(36), k)
 
 
 @pytest.mark.parametrize(

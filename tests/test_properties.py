@@ -1,15 +1,17 @@
-"""Property tests over random n, and lints on src/pgk: no asserts, no
-environment variables, an element oracle independent of the class route, a
-class route that imports only the quotient and no numeric library, and an
-``__all__`` that matches the package."""
+"""Property tests over random n, and lints on src/pgk: no asserts (in demos/
+either), no environment variables, an element oracle independent of the class
+route, a class route that imports only the quotient and no numeric library,
+and an ``__all__`` that matches the package."""
 
 import ast
+from math import prod
 from pathlib import Path
 
 import pytest
 
 import pgk
 from pgk import (
+    Factorization,
     build_quotient,
     build_Z,
     components_without,
@@ -21,11 +23,14 @@ from pgk import (
     verify_witness,
 )
 
+from test_formulas import check_against_printed
+
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pgk"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pgk"
 
 composite = st.integers(min_value=2, max_value=3000).filter(
     lambda n: factorize(n).r >= 2
@@ -38,6 +43,39 @@ def test_size_Z_formula_is_the_layer_set_weight(n, data):
     f = factorize(n)
     k = data.draw(st.integers(min_value=0, max_value=f.exponents[-1] - 1))
     assert size_Z_formula(f, k) == build_Z(f, k).weight
+
+
+PRIMES_BELOW_1000 = [p for p in range(2, 1000) if factorize(p).factors == ((p, 1),)]
+LARGE_N = 10**12
+
+
+@st.composite
+def large_factorizations(draw):
+    """A Factorization with r >= 2 and n <= 10**12, built from drawn primes and
+    exponents so n is never trial-divided. The six smallest primes are drawn
+    on their own, so r3-exact and case-ii-bound (2*phi(P) < P) come up often."""
+    primes = draw(st.sets(st.sampled_from((2, 3, 5, 7, 11, 13)))) | draw(
+        st.sets(st.sampled_from(PRIMES_BELOW_1000), min_size=2, max_size=3)
+    )
+    primes = sorted(primes)
+    while prod(primes) > LARGE_N:
+        primes.pop()
+    n, factors = 1, []
+    for i, p in enumerate(primes):
+        # leave room for every later prime at exponent 1
+        e = draw(st.integers(min_value=1, max_value=12))
+        while n * p**e * prod(primes[i + 1 :]) > LARGE_N:
+            e -= 1
+        n *= p**e
+        factors.append((p, e))
+    return Factorization(n, tuple(factors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(large_factorizations())
+def test_formulas_match_the_printed_expressions_at_large_n(f):
+    assert f.r >= 2
+    check_against_printed(f)
 
 
 @settings(max_examples=200, deadline=None)
@@ -78,10 +116,11 @@ def test_enumerated_separators_are_verified_minima(n):
 
 
 def test_no_assert_statements_in_the_package():
-    # asserts vanish under python -O, so no check in src/pgk may rely on one
+    # asserts vanish under python -O, so no check in src/pgk or in a demo may
+    # rely on one
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
+        f"{path.parent.name}/{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
