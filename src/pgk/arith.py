@@ -1,8 +1,9 @@
 """Exact integer arithmetic underlying the divisor-class model.
 
-Plain number theory only: prime-power factorization by trial division,
-Euler's totient, divisor enumeration, and the alpha/beta ladder built from
-the largest prime factor, which the separator constructions use.
+Plain number theory only: prime-power factorization by trial division, the
+alpha/beta ladder the separator constructions use, and the one place where a
+factorization becomes divisors and phi values. A Factorization in hand gives
+phi(n) and every (d, phi(d)) pair, so no caller factors a divisor of n again.
 
 Python integers never overflow, so there is no wraparound to defend against;
 bad inputs are rejected up front instead (every operation requires n >= 1).
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Iterable
 
 
@@ -70,6 +72,22 @@ class Factorization:
     def exponents(self) -> tuple[int, ...]:
         return tuple(e for _, e in self.factors)
 
+    @property
+    def phi(self) -> int:
+        """Euler's totient of n, by the product formula over the factors."""
+        return prod(p ** (e - 1) * (p - 1) for p, e in self.factors)
+
+    def divisor_classes(self) -> list[tuple[int, int]]:
+        """Every divisor d of n with phi(d), the size of its order class, by d.
+
+        phi is multiplicative, so the pairs are built prime by prime.
+        """
+        classes = [(1, 1)]
+        for p, e in self.factors:
+            powers = [(p**k, p ** (k - 1) * (p - 1) if k else 1) for k in range(e + 1)]
+            classes = [(d * q, w * v) for d, w in classes for q, v in powers]
+        return sorted(classes)
+
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> Factorization:
@@ -94,19 +112,12 @@ def factorize(n: int) -> Factorization:
 
 def totient(n: int) -> int:
     """Euler's totient: the number of 1 <= k <= n coprime to n."""
-    phi = 1
-    for p, e in factorize(n).factors:
-        phi *= p ** (e - 1) * (p - 1)
-    return phi
+    return factorize(n).phi
 
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n).factors:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    divs.sort()
-    return divs
+    return [d for d, _ in factorize(n).divisor_classes()]
 
 
 def alpha_beta(f: Factorization, k: int, drop: Iterable[int] = ()) -> int:

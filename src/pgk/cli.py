@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .arith import factorize, totient
+from .arith import factorize
 from .connectivity import kappa_class, verify_witness
 from .element_oracle import MAX_ELEMENT_N, kappa_element_oracle
 from .formulas import CASE_II_BOUND, R3_EXACT, classify, kappa_formula, upper_bound_ii
@@ -311,7 +311,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     else:
         print(f"n = {n} = {_factor_str(f.factors)}")
         print(f"case: {c.tag} (P = {c.P}, phi(P) = {c.phiP}, 2*phi(P) < P)")
-        print(f"kappa <= {bound} = phi(n) + {bound - totient(n)}")
+        print(f"kappa <= {bound} = phi(n) + {bound - f.phi}")
         if c.tag == R3_EXACT:
             print("r = 3, so this bound is the exact value")
     return 0
@@ -321,10 +321,9 @@ def cmd_example2310(args: argparse.Namespace) -> int:
     sep = example_2310()
     f = factorize(sep.n)
     bound = upper_bound_ii(f)
-    phi = totient(sep.n)
     g = build_quotient(sep.n)
     ok = (
-        sep.weight == phi + 150
+        sep.weight == f.phi + 150
         and sep.witness is not None
         and verify_witness(g, sep.witness)
         and sep.witness.block_a == frozenset({30})
@@ -338,7 +337,7 @@ def cmd_example2310(args: argparse.Namespace) -> int:
                     "n": sep.n,
                     "classes": sorted(sep.classes),
                     "weight": sep.weight,
-                    "phi_n": phi,
+                    "phi_n": f.phi,
                     "bound_ii": bound,
                     "bound_strict": sep.weight < bound,
                     "witness": _witness_dict(sep),
@@ -350,8 +349,8 @@ def cmd_example2310(args: argparse.Namespace) -> int:
     else:
         print(f"n = 2310 = {_factor_str(f.factors)}")
         print(f"separator classes: {sorted(sep.classes)}")
-        print(f"|X| = {sep.weight} = phi(n) + {sep.weight - phi}")
-        print(f"upper bound: {bound} = phi(n) + {bound - phi}")
+        print(f"|X| = {sep.weight} = phi(n) + {sep.weight - f.phi}")
+        print(f"upper bound: {bound} = phi(n) + {bound - f.phi}")
         print(f"strictly below the bound: {sep.weight} < {bound}")
         if sep.witness is not None:
             print(f"witness block A: {sorted(sep.witness.block_a)}")

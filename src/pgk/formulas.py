@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from .arith import Factorization, _is_prime, totient
+from .arith import Factorization, _is_prime
 
 
 PRIME_POWER = "prime-power"
@@ -58,7 +58,7 @@ def classify(f: Factorization) -> CaseTag:
     if f.r <= 1:
         return CaseTag(PRIME_POWER, 1, 1)
     P = prod(f.primes[:-1])
-    phiP = totient(P)
+    phiP = prod(p - 1 for p, _ in f.factors[:-1])
     if 2 * phiP > P:
         tag = CASE_I
     elif 2 * phiP == P:
@@ -81,7 +81,7 @@ def best_layer(f: Factorization, c: CaseTag) -> int:
 def _size_Z(f: Factorization, c: CaseTag, k: int) -> int:
     p_r, e_r = f.factors[-1]
     B = prod(p ** (e - 1) for p, e in f.factors[:-1])
-    return totient(f.n) + B * (p_r ** (e_r - 1) * c.phiP + p_r**k * (c.P - 2 * c.phiP))
+    return f.phi + B * (p_r ** (e_r - 1) * c.phiP + p_r**k * (c.P - 2 * c.phiP))
 
 
 def size_Z_formula(f: Factorization, k: int) -> int:
@@ -144,4 +144,4 @@ def lemma4_slack(primes: Sequence[int]) -> int:
             raise ValueError(f"{q} is not prime")
         previous = q
     m = prod(primes)
-    return totient(m) - m + sum(m // q for q in primes)
+    return prod(q - 1 for q in primes) - m + sum(m // q for q in primes)

@@ -9,7 +9,8 @@ n (the class of elements of order d, of size phi(d)), nodes joined by proper
 divisibility, each class expanding to a clique with complete joins along
 quotient edges. Minimum vertex cuts respect this structure -- a smallest
 disconnecting set always consists of whole order classes -- which is what
-makes connectivity questions tractable at class level.
+makes connectivity questions tractable at class level. The divisors and
+their weights phi(d) come from n's Factorization in arith.
 
 QuotientGraph is immutable after construction and safe to share across
 threads.
@@ -36,6 +37,8 @@ class QuotientGraph:
         return {d: i for i, d in enumerate(self.divisors)}
 
     def weight(self, d: int) -> int:
+        if d not in self._index:
+            raise ValueError(f"{d} does not divide {self.n}")
         return self.weights[self._index[d]]
 
     def index(self, d: int) -> int:
@@ -70,20 +73,8 @@ class QuotientGraph:
 
 def build_quotient(n: int) -> QuotientGraph:
     """Quotient graph of P(C_n): nodes are divisors of n in ascending order."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    # phi is multiplicative, so each divisor's weight is built beside it
-    classes = [(1, 1)]
-    for p, e in factorize(n).factors:
-        classes = [
-            (d * p**k, w * (p - 1) * p ** (k - 1) if k else w)
-            for d, w in classes
-            for k in range(e + 1)
-        ]
-    classes.sort()
-    return QuotientGraph(
-        n=n, divisors=tuple(d for d, _ in classes), weights=tuple(w for _, w in classes)
-    )
+    ds, ws = zip(*factorize(n).divisor_classes())
+    return QuotientGraph(n=n, divisors=ds, weights=ws)
 
 
 def subgroup_classes(n: int, d: int) -> frozenset[int]:
@@ -93,7 +84,7 @@ def subgroup_classes(n: int, d: int) -> frozenset[int]:
     """
     if n < 1 or d < 1 or n % d != 0:
         raise ValueError(f"{d} does not divide {n}")
-    return frozenset(divisors(d))
+    return frozenset(e for e in divisors(n) if d % e == 0)
 
 
 def expand_to_elements(n: int, classes: Iterable[int]) -> frozenset[int]:

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .arith import Factorization, alpha_beta, divisors, factorize, totient
+from .arith import Factorization, alpha_beta, factorize
 from .connectivity import SeparationWitness, min_cuts
 from .formulas import CASE_III, best_layer, classify
-from .quotient import QuotientGraph, build_quotient, components_without
+from .quotient import QuotientGraph, build_quotient, components_without, subgroup_classes
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class ClassSeparator:
     @property
     def weight(self) -> int:
         """The number of elements removed: the phi-sum of the classes."""
-        return sum(totient(d) for d in self.classes)
+        return sum(map(build_quotient(self.n).weight, self.classes))
 
 
 def build_Z(f: Factorization, k: int) -> ClassSeparator:
@@ -60,8 +60,8 @@ def build_Z(f: Factorization, k: int) -> ClassSeparator:
     classes = {f.n}
     for j in range(k + 1, e_r):
         classes.add(alpha_beta(f, j))
-    for i in range(1, f.r):
-        classes.update(divisors(alpha_beta(f, k, {i})))
+    betas = [alpha_beta(f, k, {i}) for i in range(1, f.r)]
+    classes.update(d for d, _ in f.divisor_classes() if any(b % d == 0 for b in betas))
     return ClassSeparator(n=f.n, classes=frozenset(classes), label=f"Z({f.r},{k})")
 
 
@@ -86,10 +86,8 @@ def example_2310() -> ClassSeparator:
     witness whose small side is the single class of order 30.
     """
     n = 2310
-    classes = {n, 210, 330}
-    for d in (6, 10, 15):
-        classes.update(divisors(d))
-    sep = ClassSeparator(n=n, classes=frozenset(classes), label="example-2310")
+    classes = frozenset({n, 210, 330}).union(*(subgroup_classes(n, d) for d in (6, 10, 15)))
+    sep = ClassSeparator(n=n, classes=classes, label="example-2310")
     return replace(sep, witness=check_disconnects(sep))
 
 

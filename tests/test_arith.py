@@ -94,6 +94,7 @@ def test_totient_known(n, expected):
 def test_totient_matches_gcd_count():
     for n in range(1, 1000):
         assert totient(n) == naive_totient(n), f"totient({n})"
+        assert factorize(n).divisor_classes()[-1] == (n, naive_totient(n)), n
 
 
 def test_totient_multiplicative_on_coprime_pairs():
@@ -136,6 +137,8 @@ def test_divisors_match_naive_scan():
         assert ds == naive_divisors(n)
         assert ds == sorted(ds)
         assert ds[0] == 1 and ds[-1] == n
+        expansion = [(d, naive_totient(d)) for d in naive_divisors(n)]
+        assert factorize(n).divisor_classes() == expansion, n
 
 
 # --- the alpha/beta ladder ---------------------------------------------------

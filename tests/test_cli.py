@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import pgk.arith
 from pgk import SeparationWitness, build_quotient, kappa_class, verify_witness
 from pgk.cli import CSV_COLUMNS, Report, _sweep_max_n, build_report, main
 from pgk.connectivity import _ClassNet
@@ -230,6 +231,26 @@ def test_separators_all_min_runs_the_flows_once(capsys, monkeypatch, n):
     calls.clear()
     assert run(capsys, "separators", str(n), "--all-min", "--json")[0] == 0
     assert len(calls) == alone > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "separators 1944 --all-min --json",
+        "separators 2040 --all-min --witness --json",
+        "example2310 --json",
+        "separators 150 --witness",
+        "kappa 2310 --json",
+        "bound 2310 --json",
+        "kappa 210 --json --method both",
+    ],
+)
+def test_each_command_factors_n_once(capsys, argv):
+    # every divisor and phi value comes from n's one Factorization, so the
+    # only trial division is that of n itself
+    pgk.arith.factorize.cache_clear()
+    assert run(capsys, *argv.split())[0] == 0
+    assert pgk.arith.factorize.cache_info().misses == 1
 
 
 # --- bound and the 2310 certificate ----------------------------------------------

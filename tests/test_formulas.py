@@ -4,13 +4,16 @@ from math import prod
 
 import pytest
 
+import pgk.arith
 from pgk import (
     CASE_I,
     CASE_II_BOUND,
     CASE_III,
     PRIME_POWER,
     R3_EXACT,
+    Factorization,
     build_quotient,
+    build_Z,
     classify,
     corollary_p1_ge_r,
     factorize,
@@ -208,6 +211,19 @@ def test_size_Z_formula_rejects_bad_input():
     for k in (-1, 2):
         with pytest.raises(ValueError):
             size_Z_formula(factorize(36), k)
+
+
+def test_closed_forms_factor_nothing_again():
+    # a Factorization in hand carries every phi and divisor the forms need,
+    # so none of them runs a trial division, here of n or of P
+    p = 499999999979
+    f = Factorization(2 * p, ((2, 1), (p, 1)))
+    pgk.arith.factorize.cache_clear()
+    assert classify(f).tag == CASE_III
+    assert kappa_formula(f) == p == size_Z_formula(f, 0)
+    assert upper_bound_ii(f) is None
+    assert build_Z(f, 0).classes == {1, 2 * p}
+    assert pgk.arith.factorize.cache_info().misses == 0
 
 
 @pytest.mark.parametrize(

@@ -141,6 +141,13 @@ def pgk_imports(name):
     return imported
 
 
+@pytest.mark.parametrize("name", ["formulas.py", "separators.py", "cli.py"])
+def test_phi_and_divisors_come_from_the_factorization_in_hand(name):
+    # a Factorization carries phi(n) and every (d, phi(d)), so these modules
+    # never factor a number again through totient or divisors
+    assert not {i.rsplit(".", 1)[1] for i in pgk_imports(name)} & {"totient", "divisors"}
+
+
 def test_element_oracle_imports_nothing_of_the_class_route():
     # the oracle cross-checks the class cut, so it may share no graph, flow
     # or divisor code with it: only the result type

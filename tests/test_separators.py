@@ -3,6 +3,7 @@
 import pytest
 
 from pgk import (
+    ClassSeparator,
     build_quotient,
     build_Z,
     check_disconnects,
@@ -113,6 +114,12 @@ def test_example_2310_certificate():
     assert sep.witness is not None
     assert sep.witness.block_a == frozenset({30})
     assert verify_witness(build_quotient(2310), sep.witness)
+
+
+def test_separator_weight_rejects_a_non_divisor():
+    # the weights are those of n's classes, so a class outside n has none
+    with pytest.raises(ValueError, match="^5 does not divide 12$"):
+        ClassSeparator(12, frozenset({1, 5, 12})).weight
 
 
 def test_check_disconnects_blocks():
