@@ -1,27 +1,25 @@
 """Command-line front end: per-n reports, separator listings, bulk sweeps.
 
-Subcommands
-    kappa N        connectivity of P(C_N): formula vs computation, agreement
-    separators N   the optimal layer separator, or every minimum separator
-    bound N        the upper bound for the not-exactly-solved case
-    example2310    the n = 2310 certificate beating that bound
-    sweep          one report row per n over a range, JSON lines or CSV
-
-Exit codes: 0 success/agreement, 1 usage error, 2 verification mismatch (a
+The commands (kappa, separators, bound, example2310, sweep) and their options
+are one table, COMMANDS; parse reads a command line by it and `pgk -h` prints
+it. Exit codes: 0 success/agreement, 1 usage error, 2 verification mismatch (a
 formula, oracle, or bound check failed -- the falsification signal).
 JSON objects carry "schema": "pgk/1"; CSV columns are fixed.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import math
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from copy import copy
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence, TextIO
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .arith import factorize
 from .connectivity import kappa_class, verify_witness
@@ -29,26 +27,15 @@ from .element_oracle import MAX_ELEMENT_N, kappa_element_oracle
 from .formulas import CASE_II_BOUND, R3_EXACT, classify, kappa_formula, upper_bound_ii
 from .quotient import build_quotient
 from .separators import (
-    ClassSeparator,
-    check_disconnects,
-    enumerate_min_separators,
-    example_2310,
-    optimal_Z,
+    ClassSeparator, check_disconnects, enumerate_min_separators, example_2310, optimal_Z,
 )
 
 SCHEMA = "pgk/1"
 #: Report case label for n with no closed form (classify's CASE_II_BOUND).
 COMPUTED_ONLY = "computed-only"
 CSV_COLUMNS = (
-    "n",
-    "r",
-    "case",
-    "kappa_formula",
-    "kappa_computed",
-    "bound_ii",
-    "agreement",
-    "n_min_separators",
-    "ms",
+    "n", "r", "case", "kappa_formula", "kappa_computed", "bound_ii", "agreement",
+    "n_min_separators", "ms",
 )
 #: Largest n accepted on the command line: trial division stays near 5e5 steps.
 MAX_N = 10**12
@@ -146,10 +133,8 @@ def _print_report(report: Report, out: TextIO) -> None:
     print(f"n = {report.n} = {_factor_str(report.factorization)}", file=out)
     print(f"case: {report.case}", file=out)
     print(f"kappa (computed): {report.kappa_computed}", file=out)
-    if report.kappa_formula is not None:
-        print(f"kappa (formula):  {report.kappa_formula}", file=out)
-    else:
-        print("kappa (formula):  none known for this case", file=out)
+    formula = "none known for this case" if report.kappa_formula is None else report.kappa_formula
+    print(f"kappa (formula):  {formula}", file=out)
     if report.kappa_element is not None:
         print(f"kappa (element oracle): {report.kappa_element}", file=out)
     if report.bound_ii is not None:
@@ -159,69 +144,54 @@ def _print_report(report: Report, out: TextIO) -> None:
             relation = "= bound, tight"
         else:
             relation = "> bound, VIOLATED"
-        print(
-            f"upper bound: {report.bound_ii} "
-            f"(computed {report.kappa_computed} {relation})",
-            file=out,
-        )
+        computed = f"computed {report.kappa_computed} {relation}"
+        print(f"upper bound: {report.bound_ii} ({computed})", file=out)
     print(f"agreement: {'yes' if report.agreement else 'NO -- MISMATCH'}", file=out)
+
+
+def _print_json(file: TextIO | None = None, **fields) -> None:
+    print(json.dumps({"schema": SCHEMA, **fields}, sort_keys=True), file=file)
 
 
 def _witness_dict(sep: ClassSeparator) -> dict | None:
     if sep.witness is None:
         return None
-    return {
-        "removed": sorted(sep.witness.removed),
-        "block_a": sorted(sep.witness.block_a),
-        "block_b": sorted(sep.witness.block_b),
-    }
+    return {part: sorted(getattr(sep.witness, part)) for part in ("removed", "block_a", "block_b")}
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1; exit code 2 is reserved for verification mismatches
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+class UsageError(ValueError):
+    """A command line pgk refuses: parse prints it after the usage and exits 1."""
+
+
+def _int_in(text: str, low: int, high: float, message: str) -> int:
+    value = int(text)
+    if not low <= value <= high:
+        raise UsageError(message.format(value))
+    return value
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= MAX_N:
-        raise argparse.ArgumentTypeError(f"n must be in [1, 10**12], got {value}")
-    return value
+    return _int_in(text, 1, MAX_N, "n must be in [1, 10**12], got {}")
 
 
 def _sweep_max_n(text: str) -> int:
-    value = int(text)
-    if not 2 <= value <= MAX_SWEEP_N:
-        raise argparse.ArgumentTypeError(f"--max-n must be in [2, 10**6], got {value}")
-    return value
+    return _int_in(text, 2, MAX_SWEEP_N, "--max-n must be in [2, 10**6], got {}")
 
 
 def _oracle_max_n(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= MAX_ELEMENT_N:
-        raise argparse.ArgumentTypeError(
-            f"--oracle-max-n must be in [0, {MAX_ELEMENT_N}], got {value}"
-        )
-    return value
+    message = f"--oracle-max-n must be in [0, {MAX_ELEMENT_N}], got {{}}"
+    return _int_in(text, 0, MAX_ELEMENT_N, message)
 
 
 def _jobs(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"--jobs must be at least 1, got {value}")
-    return value
+    return _int_in(text, 1, math.inf, "--jobs must be at least 1, got {}")
 
 
-def cmd_kappa(args: argparse.Namespace) -> int:
+def cmd_kappa(args: SimpleNamespace) -> int:
     n = args.n
     use_element = args.method in ("element", "both")
     if use_element and n > MAX_ELEMENT_N:
-        print(
-            f"error: n={n} exceeds the element-oracle ceiling {MAX_ELEMENT_N}",
-            file=sys.stderr,
-        )
+        print(f"error: n={n} exceeds the element-oracle ceiling {MAX_ELEMENT_N}", file=sys.stderr)
         return 1
     report = build_report(n, use_element=use_element)
     if args.method == "element":
@@ -235,7 +205,7 @@ def cmd_kappa(args: argparse.Namespace) -> int:
     return 0 if report.agreement else 2
 
 
-def cmd_separators(args: argparse.Namespace) -> int:
+def cmd_separators(args: SimpleNamespace) -> int:
     n = args.n
     g = build_quotient(n)
     if g.is_complete:
@@ -250,23 +220,10 @@ def cmd_separators(args: argparse.Namespace) -> int:
             sep = replace(sep, witness=check_disconnects(sep))
         seps = [sep]
     if args.json:
-        payload = {
-            "schema": SCHEMA,
-            "n": n,
-            "complete": g.is_complete,
-            "kappa": kappa,
-            "separators": [
-                {
-                    "classes": sorted(s.classes),
-                    "weight": s.weight,
-                    "label": s.label,
-                    "note": s.note or None,
-                    "witness": _witness_dict(s) if args.witness else None,
-                }
-                for s in seps
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(n=n, complete=g.is_complete, kappa=kappa, separators=[{
+            "classes": sorted(s.classes), "weight": s.weight, "label": s.label,
+            "note": s.note or None, "witness": _witness_dict(s) if args.witness else None,
+        } for s in seps])
     elif g.is_complete:
         print(f"complete graph, kappa = {kappa}; no separator exists")
     else:
@@ -282,32 +239,17 @@ def cmd_separators(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
+def cmd_bound(args: SimpleNamespace) -> int:
     n = args.n
     f = factorize(n)
     c = classify(f)
     bound = upper_bound_ii(f)
     if bound is None:
-        print(
-            f"error: the upper bound needs 2*phi(P) < P; n={n} is {c.tag} "
-            f"(P={c.P}, phi(P)={c.phiP})",
-            file=sys.stderr,
-        )
+        evidence = f"{c.tag} (P={c.P}, phi(P)={c.phiP})"
+        print(f"error: the upper bound needs 2*phi(P) < P; n={n} is {evidence}", file=sys.stderr)
         return 1
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "n": n,
-                    "case": c.tag,
-                    "P": c.P,
-                    "phiP": c.phiP,
-                    "bound_ii": bound,
-                },
-                sort_keys=True,
-            )
-        )
+        _print_json(n=n, case=c.tag, P=c.P, phiP=c.phiP, bound_ii=bound)
     else:
         print(f"n = {n} = {_factor_str(f.factors)}")
         print(f"case: {c.tag} (P = {c.P}, phi(P) = {c.phiP}, 2*phi(P) < P)")
@@ -317,7 +259,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_example2310(args: argparse.Namespace) -> int:
+def cmd_example2310(args: SimpleNamespace) -> int:
     sep = example_2310()
     f = factorize(sep.n)
     bound = upper_bound_ii(f)
@@ -330,21 +272,10 @@ def cmd_example2310(args: argparse.Namespace) -> int:
         and sep.weight < bound
     )
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "n": sep.n,
-                    "classes": sorted(sep.classes),
-                    "weight": sep.weight,
-                    "phi_n": f.phi,
-                    "bound_ii": bound,
-                    "bound_strict": sep.weight < bound,
-                    "witness": _witness_dict(sep),
-                    "verified": ok,
-                },
-                sort_keys=True,
-            )
+        _print_json(
+            n=sep.n, classes=sorted(sep.classes), weight=sep.weight, phi_n=f.phi,
+            bound_ii=bound, bound_strict=sep.weight < bound, witness=_witness_dict(sep),
+            verified=ok,
         )
     else:
         print(f"n = 2310 = {_factor_str(f.factors)}")
@@ -373,7 +304,7 @@ def _sweep_rows(tasks: list[tuple[int, int]], jobs: int) -> Iterator[Report]:
         yield from map(_sweep_row, tasks)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: SimpleNamespace) -> int:
     ns = sorted(set(range(2, args.max_n + 1)) | set(args.extra))
     tasks = [(n, args.oracle_max_n) for n in ns]
     # open the sink first, so an unwritable --out fails before any work
@@ -385,8 +316,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return 1
         summary_sink = sys.stdout
     else:
-        sink = sys.stdout
-        summary_sink = sys.stderr
+        sink, summary_sink = sys.stdout, sys.stderr
     start = time.perf_counter()
     cases: dict[str, int] = {}
     mismatches: list[int] = []
@@ -407,83 +337,152 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     finally:
         if sink is not sys.stdout:
             sink.close()
-
-    summary = {
-        "schema": SCHEMA,
-        "summary": True,
-        "rows": len(tasks),
-        "cases": dict(sorted(cases.items())),
-        "mismatches": mismatches,
-        "bound_strict": strict,
-        "oracle_checked": oracle_checked,
-        "ms_total": round((time.perf_counter() - start) * 1000.0, 1),
-    }
-    print(json.dumps(summary, sort_keys=True), file=summary_sink)
+    ms_total = round((time.perf_counter() - start) * 1000.0, 1)
+    _print_json(summary_sink, summary=True, rows=len(tasks), cases=dict(sorted(cases.items())),
+                mismatches=mismatches, bound_strict=strict, oracle_checked=oracle_checked,
+                ms_total=ms_total)
     return 2 if mismatches else 0
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="pgk",
-        description="Vertex connectivity of power graphs of cyclic groups",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_JSON = {"--json": (None, False, "print one pgk/1 JSON object")}
+#: Every command as (function, help, takes n, long options), every option as
+#: (convert, default, help): convert is None for a flag, the allowed values, or
+#: a function of the text; a list default repeats, a ... default is required.
+COMMANDS = {
+    "kappa": (cmd_kappa, "connectivity of P(C_n)", True, {
+        "--method": (("class", "element", "both"), "class", "the kappa routes to run"),
+        **_JSON}),
+    "separators": (cmd_separators, "minimum separators of P(C_n)", True, {
+        "--all-min": (None, False, "enumerate every minimum separator"),
+        "--witness": (None, False, "include block partitions"),
+        **_JSON,
+        "--force": (None, False, "no effect; accepted for old command lines")}),
+    "bound": (cmd_bound, "upper bound when 2*phi(P) < P", True, _JSON),
+    "example2310": (cmd_example2310, "print and verify the n = 2310 certificate", False, _JSON),
+    "sweep": (cmd_sweep, "bulk verification over a range of n", False, {
+        "--max-n": (_sweep_max_n, ..., "report every n from 2 to this"),
+        "--oracle-max-n": (_oracle_max_n, 0, "element oracle too, for n up to this (0 = never)"),
+        "--out": (str, None, "write the rows here and the summary to stdout"),
+        "--format": (("json", "csv"), "json", "JSON lines or CSV rows"),
+        "--jobs": (_jobs, 1, "worker processes, at most one per CPU"),
+        "--extra": (_positive_int, [], "an n beyond the range (repeatable)")}),
+}
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse reads these as values
 
-    p_kappa = sub.add_parser("kappa", help="connectivity of P(C_n)")
-    p_kappa.add_argument("n", type=_positive_int)
-    p_kappa.add_argument(
-        "--method", choices=("class", "element", "both"), default="class"
-    )
-    p_kappa.add_argument("--json", action="store_true")
-    p_kappa.set_defaults(func=cmd_kappa)
 
-    p_sep = sub.add_parser("separators", help="minimum separators of P(C_n)")
-    p_sep.add_argument("n", type=_positive_int)
-    p_sep.add_argument(
-        "--all-min", action="store_true", help="enumerate every minimum separator"
-    )
-    p_sep.add_argument("--witness", action="store_true", help="include block partitions")
-    p_sep.add_argument("--json", action="store_true")
-    p_sep.add_argument(
-        "--force", action="store_true", help="no effect; accepted for old command lines"
-    )
-    p_sep.set_defaults(func=cmd_separators)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: pgk [-h] {{{','.join(COMMANDS)}}} ..."
+    parts = [f"usage: pgk {command} [-h]"]
+    for name, (convert, default, _) in COMMANDS[command][3].items():
+        if convert is not None:
+            metavar = name[2:].upper() if callable(convert) else "{%s}" % ",".join(convert)
+            name += " " + metavar
+        parts.append(name if default is ... else f"[{name}]")
+    return " ".join(parts + ["n"] * COMMANDS[command][2])
 
-    p_bound = sub.add_parser("bound", help="upper bound when 2*phi(P) < P")
-    p_bound.add_argument("n", type=_positive_int)
-    p_bound.add_argument("--json", action="store_true")
-    p_bound.set_defaults(func=cmd_bound)
 
-    p_ex = sub.add_parser(
-        "example2310", help="print and verify the n = 2310 certificate"
-    )
-    p_ex.add_argument("--json", action="store_true")
-    p_ex.set_defaults(func=cmd_example2310)
+def _print_help(command: str | None, name: str, explicit: str | None) -> None:
+    if name == "-h" and explicit:  # argparse reads -hh as -h -h
+        explicit = explicit.lstrip("h") or None
+    if explicit is not None:
+        raise UsageError(f"argument -h/--help: ignored explicit argument {explicit!r}")
+    lines = [] if command else [_usage(None), "", "Vertex connectivity of the power graph of C_n"]
+    for each in [command] if command else COMMANDS:
+        _, about, takes_n, options = COMMANDS[each]
+        lines += ["", _usage(each), f"  {about}"] + [f"  {'n':<14}  in [1, 10**12]"] * takes_n
+        lines += [f"  {name:<14}  {text}" for name, (_, _, text) in options.items()]
+    print("\n".join(lines).strip())
+    raise SystemExit(0)
 
-    p_sweep = sub.add_parser("sweep", help="bulk verification over a range of n")
-    p_sweep.add_argument("--max-n", type=_sweep_max_n, required=True)
-    p_sweep.add_argument(
-        "--oracle-max-n",
-        type=_oracle_max_n,
-        default=0,
-        help="also run the element oracle for n up to this value (0 = never)",
-    )
-    p_sweep.add_argument("--out", type=str, default=None)
-    p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
-    p_sweep.add_argument("--jobs", type=_jobs, default=1)
-    p_sweep.add_argument(
-        "--extra",
-        type=_positive_int,
-        action="append",
-        default=[],
-        help="additional n beyond the range (repeatable)",
-    )
-    p_sweep.set_defaults(func=cmd_sweep)
-    return parser
+
+def _option(token: str, names: Sequence[str]) -> tuple[str | None, str | None] | None:
+    """(name, text after '=') for an option, (None, None) if unknown, None for a value."""
+    if not token.startswith("-") or token == "-":
+        return None
+    head, eq, explicit = token.partition("=")
+    if token.startswith("--"):
+        matches = [head] if head in names else [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], explicit if eq else None
+    elif token.startswith("-h"):  # text after -h, as in -hh or -h=x, is its explicit argument
+        return "-h", None if token == "-h" else token[2:].removeprefix("=")
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, None)
+
+
+def _value(name: str, convert: Callable[[str], object] | tuple[str, ...], text: str):
+    if isinstance(convert, tuple) and text not in convert:
+        choices = ", ".join(map(repr, convert))
+        raise UsageError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+    try:
+        return text if isinstance(convert, tuple) else convert(text)
+    except UsageError as exc:
+        raise UsageError(f"argument {name}: {exc}") from None
+    except ValueError:
+        raise UsageError(f"argument {name}: invalid {convert.__name__} value: {text!r}") from None
+
+
+def parse(argv: Sequence[str]) -> SimpleNamespace:
+    """The command, its function and every option's value, read by COMMANDS
+    as argparse would: `--opt v` or `--opt=v`, a long option cut to a unique
+    prefix, options before n, a `--` next to n. -h/--help prints help and
+    exits 0; a usage error prints `pgk ...: error: ...` to stderr and exits 1."""
+    args, extras = list(argv), []  # extras are an error only after all else
+    command, takes_n, options, values, n_at, i = None, False, {}, {}, None, 0
+    kinds = [None if token == "--" else _option(token, _HELP) for token in args]
+    try:
+        while i < len(args):
+            token, kind = args[i], kinds[i]
+            i += 1
+            if kind is None and command is None:
+                command = _value("command", tuple(COMMANDS), token)
+                func, _, takes_n, options = COMMANDS[command]
+                values = {name: copy(default) for name, (_, default, _) in options.items()}
+                del kinds[i:]  # argparse reads every token before it acts on any
+                names, ended = (*_HELP, *options), False
+                for t in args[i:]:
+                    kinds.append(None if ended else "--" if t == "--" else _option(t, names))
+                    ended = ended or t == "--"
+            elif kind is None and takes_n and n_at is None:
+                values["n"], n_at = _value("n", _positive_int, token), i - 1
+            elif kind == "--" and takes_n and (n_at == i - 2 or n_at is None and i < len(args)):
+                continue  # argparse drops a -- right before or after n
+            elif kind in (None, "--") or kind[0] is None:
+                extras.append(token)
+            elif kind[0] in _HELP:
+                _print_help(command, *kind)
+            elif options[kind[0]][0] is None:
+                name, text = kind
+                if text is not None:
+                    raise UsageError(f"argument {name}: ignored explicit argument {text!r}")
+                values[name] = True
+            else:
+                name, text = kind
+                if text is None and (i == len(args) or kinds[i] is not None):
+                    raise UsageError(f"argument {name}: expected one argument")
+                if text is None:
+                    text, i = args[i], i + 1
+                value = _value(name, options[name][0], text)
+                values[name] = values[name] + [value] if isinstance(values[name], list) else value
+        missing = ["command"] * (command is None) + ["n"] * (takes_n and n_at is None)
+        missing += [name for name, value in values.items() if value is ...]
+        if missing:
+            raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+        if extras:
+            raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    except UsageError as exc:
+        prog = "pgk" if command is None else f"pgk {command}"
+        print(f"{_usage(command)}\n{prog}: error: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
+    fields = {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(command=command, func=func, **fields)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
+    args = parse(sys.argv[1:] if argv is None else argv)
     return args.func(args)
 
 
