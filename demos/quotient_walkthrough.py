@@ -9,7 +9,6 @@ brute force, and the closed form.
 from pgk import (
     build_quotient,
     expand_to_elements,
-    factorize,
     kappa_class,
     kappa_element_oracle,
     kappa_formula,
@@ -30,7 +29,7 @@ print("\nClasses are adjacent when one order divides the other, e.g.")
 print(f"  4 ~ 12: {g.adjacent(4, 12)},   4 ~ 6: {g.adjacent(4, 6)}")
 print(f"incomparable divisor pairs: {g.non_adjacent_pairs()}")
 
-print(f"\nsubgroup of order 6 = classes {sorted(subgroup_classes(n, 6))}")
+print(f"\nsubgroup of order 6 = classes {sorted(subgroup_classes(g, 6))}")
 
 weight, cut = min_cut_between(g, 4, 6)
 print(f"\ncheapest class set separating order-4 from order-6 elements:")
@@ -39,4 +38,4 @@ print(f"  remove {sorted(cut)} at total weight {weight}")
 print("\nkappa three ways:")
 print(f"  weighted class cut : {kappa_class(g).kappa}")
 print(f"  element brute force: {kappa_element_oracle(n).kappa}")
-print(f"  closed form        : {kappa_formula(factorize(n))}")
+print(f"  closed form        : {kappa_formula(g.f)}")

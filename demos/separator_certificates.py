@@ -16,17 +16,16 @@ from pgk import (
     check_disconnects,
     enumerate_min_separators,
     example_2310,
-    factorize,
     totient,
     upper_bound_ii,
 )
 
 for n in (45, 36, 150):
-    f = factorize(n)
-    seps = enumerate_min_separators(build_quotient(n))
+    g = build_quotient(n)
+    seps = enumerate_min_separators(g)
     print(f"n = {n}: kappa = {seps[0].weight}")
-    for k in range(f.exponents[-1]):
-        z = build_Z(f, k)
+    for k in range(g.f.exponents[-1]):
+        z = build_Z(g, k)
         w = check_disconnects(z)
         print(
             f"  {z.label}: remove {sorted(z.classes)} (weight {z.weight}); "
@@ -39,14 +38,14 @@ for n in (45, 36, 150):
 print("n = 2310 = 2*3*5*7*11: no exact formula is known, only a bound.")
 sep = example_2310()
 phi = totient(2310)
-bound = upper_bound_ii(factorize(2310))
+bound = upper_bound_ii(sep.g.f)
 print(f"  bound: kappa <= {bound} = phi(n) + {bound - phi}")
 print(f"  but removing {sorted(sep.classes)}")
 print(f"  disconnects at weight {sep.weight} = phi(n) + {sep.weight - phi}")
 if sep.witness is None:
     sys.exit("FAILED: the 2310 certificate carries no witness")
 print(f"  witness: class {sorted(sep.witness.block_a)} separates from the rest")
-seps = enumerate_min_separators(build_quotient(2310))
+seps = enumerate_min_separators(sep.g)
 print(f"  the class cut shows this is optimal: kappa(P(C_2310)) = {seps[0].weight}")
 only = [s.classes for s in seps] == [sep.classes]
 print(f"  and that it is the only minimum separator: {only}")

@@ -99,11 +99,11 @@ def _csv_cell(value) -> str:
 def build_report(n: int, *, use_element: bool = False) -> Report:
     """Compute everything known about n and package the agreement verdict."""
     start = time.perf_counter()
-    f = factorize(n)
-    c = classify(f)
-    formula = kappa_formula(f)
-    bound = upper_bound_ii(f)
-    computed = kappa_class(build_quotient(n)).kappa
+    g = build_quotient(n)
+    c = classify(g.f)
+    formula = kappa_formula(g.f)
+    bound = upper_bound_ii(g.f)
+    computed = kappa_class(g).kappa
     element = kappa_element_oracle(n).kappa if use_element else None
     agreement = (
         (formula is None or formula == computed)
@@ -113,7 +113,7 @@ def build_report(n: int, *, use_element: bool = False) -> Report:
     ms = (time.perf_counter() - start) * 1000.0
     return Report(
         n=n,
-        factorization=f.factors,
+        factorization=g.f.factors,
         case=COMPUTED_ONLY if c.tag == CASE_II_BOUND else c.tag,
         kappa_computed=computed,
         kappa_formula=formula,
@@ -215,7 +215,10 @@ def cmd_separators(args: SimpleNamespace) -> int:
         kappa = seps[0].weight
     else:
         kappa = kappa_class(g).kappa
-        sep = optimal_Z(factorize(n))
+        sep = optimal_Z(g)
+        if sep.weight > kappa:
+            sep = replace(sep, note="heavier than kappa: the layer bound is strict here; "
+                          "--all-min lists the minimum separators")
         if args.witness:
             sep = replace(sep, witness=check_disconnects(sep))
         seps = [sep]
@@ -261,13 +264,12 @@ def cmd_bound(args: SimpleNamespace) -> int:
 
 def cmd_example2310(args: SimpleNamespace) -> int:
     sep = example_2310()
-    f = factorize(sep.n)
+    f = sep.g.f
     bound = upper_bound_ii(f)
-    g = build_quotient(sep.n)
     ok = (
         sep.weight == f.phi + 150
         and sep.witness is not None
-        and verify_witness(g, sep.witness)
+        and verify_witness(sep.g, sep.witness)
         and sep.witness.block_a == frozenset({30})
         and sep.weight < bound
     )

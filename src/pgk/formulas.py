@@ -85,7 +85,7 @@ def _size_Z(f: Factorization, c: CaseTag, k: int) -> int:
 
 
 def size_Z_formula(f: Factorization, k: int) -> int:
-    """|Z(r, k)| by the closed form above; always the weight of build_Z(f, k)."""
+    """|Z(r, k)| by the closed form above; always the weight of build_Z(g, k), g n's quotient."""
     if f.r < 2:
         raise ValueError("Z(r, k) requires at least two distinct primes")
     e_r = f.exponents[-1]

@@ -9,8 +9,8 @@ n (the class of elements of order d, of size phi(d)), nodes joined by proper
 divisibility, each class expanding to a clique with complete joins along
 quotient edges. Minimum vertex cuts respect this structure -- a smallest
 disconnecting set always consists of whole order classes -- which is what
-makes connectivity questions tractable at class level. The divisors and
-their weights phi(d) come from n's Factorization in arith.
+makes connectivity questions tractable at class level. build_quotient factors
+n once; the quotient keeps that Factorization as ``f`` beside the weights phi(d).
 
 QuotientGraph is immutable after construction and safe to share across
 threads.
@@ -23,14 +23,18 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable
 
-from .arith import divisors, factorize
+from .arith import Factorization, factorize
 
 
 @dataclass(frozen=True)
 class QuotientGraph:
-    n: int
+    f: Factorization
     divisors: tuple[int, ...]
     weights: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return self.f.n
 
     @cached_property
     def _index(self) -> dict[int, int]:
@@ -44,9 +48,6 @@ class QuotientGraph:
     def index(self, d: int) -> int:
         """Position of divisor d in the ascending divisor list."""
         return self._index[d]
-
-    def has_divisor(self, d: int) -> bool:
-        return d in self._index
 
     def adjacent(self, d: int, e: int) -> bool:
         """True iff the classes of d and e are joined: d != e and one divides the other."""
@@ -73,18 +74,17 @@ class QuotientGraph:
 
 def build_quotient(n: int) -> QuotientGraph:
     """Quotient graph of P(C_n): nodes are divisors of n in ascending order."""
-    ds, ws = zip(*factorize(n).divisor_classes())
-    return QuotientGraph(n=n, divisors=ds, weights=ws)
+    f = factorize(n)
+    return QuotientGraph(f, *zip(*f.divisor_classes()))
 
 
-def subgroup_classes(n: int, d: int) -> frozenset[int]:
+def subgroup_classes(g: QuotientGraph, d: int) -> frozenset[int]:
     """Divisor classes making up the unique subgroup of order d: all e | d.
 
     The class weights over the result sum to d, the subgroup's size.
     """
-    if n < 1 or d < 1 or n % d != 0:
-        raise ValueError(f"{d} does not divide {n}")
-    return frozenset(e for e in divisors(n) if d % e == 0)
+    g.weight(d)  # raises unless d divides n
+    return frozenset(e for e in g.divisors if d % e == 0)
 
 
 def expand_to_elements(n: int, classes: Iterable[int]) -> frozenset[int]:
@@ -103,8 +103,7 @@ def components_without(g: QuotientGraph, removed: Iterable[int]) -> list[frozens
     """
     gone = set(removed)
     for d in gone:
-        if not g.has_divisor(d):
-            raise ValueError(f"{d} does not divide {g.n}")
+        g.weight(d)  # raises unless d divides n
     survivors = [d for d in g.divisors if d not in gone]
     components: list[frozenset[int]] = []
     unseen = set(survivors)

@@ -17,7 +17,8 @@ when r = 3 with 2*phi(p_1 p_2) < p_1 p_2, and for n = 2^e_1 p^e_2 the e_2
 sets Z(2, k) are precisely the minimum separators. enumerate_min_separators
 machine-checks statements of that kind: it lists every minimum separator
 from the tight flows of the class cut's source rule, at any number of
-divisors.
+divisors. Each function takes n's quotient, which a ClassSeparator keeps
+as ``g``, and reads n's factorization as ``g.f``; only example_2310 builds one.
 
 The layer sets are not always optimal: for n = 2310 a hand-built separator
 mixing the order classes of 210 and 330 with the subgroups of order 6, 10
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .arith import Factorization, alpha_beta, factorize
+from .arith import alpha_beta
 from .connectivity import SeparationWitness, min_cuts
 from .formulas import CASE_III, best_layer, classify
 from .quotient import QuotientGraph, build_quotient, components_without, subgroup_classes
@@ -36,22 +37,27 @@ from .quotient import QuotientGraph, build_quotient, components_without, subgrou
 
 @dataclass(frozen=True)
 class ClassSeparator:
-    """A divisor-class set proposed as a separator."""
+    """A divisor-class set proposed as a separator of the quotient g."""
 
-    n: int
+    g: QuotientGraph
     classes: frozenset[int]
     witness: SeparationWitness | None = None
     label: str = ""
     note: str = ""
 
     @property
+    def n(self) -> int:
+        return self.g.n
+
+    @property
     def weight(self) -> int:
         """The number of elements removed: the phi-sum of the classes."""
-        return sum(map(build_quotient(self.n).weight, self.classes))
+        return sum(map(self.g.weight, self.classes))
 
 
-def build_Z(f: Factorization, k: int) -> ClassSeparator:
+def build_Z(g: QuotientGraph, k: int) -> ClassSeparator:
     """The layer separator Z(r, k) as a divisor-class set."""
+    f = g.f
     if f.r < 2:
         raise ValueError("Z(r, k) requires at least two distinct primes")
     e_r = f.exponents[-1]
@@ -61,18 +67,18 @@ def build_Z(f: Factorization, k: int) -> ClassSeparator:
     for j in range(k + 1, e_r):
         classes.add(alpha_beta(f, j))
     betas = [alpha_beta(f, k, {i}) for i in range(1, f.r)]
-    classes.update(d for d, _ in f.divisor_classes() if any(b % d == 0 for b in betas))
-    return ClassSeparator(n=f.n, classes=frozenset(classes), label=f"Z({f.r},{k})")
+    classes.update(d for d in g.divisors if any(b % d == 0 for b in betas))
+    return ClassSeparator(g, frozenset(classes), label=f"Z({f.r},{k})")
 
 
-def optimal_Z(f: Factorization) -> ClassSeparator:
+def optimal_Z(g: QuotientGraph) -> ClassSeparator:
     """The weight-minimizing member of the Z family.
 
     k = e_r - 1 when 2*phi(P) > P, k = 0 when 2*phi(P) < P; at equality every
     k gives the same weight and k = 0 is returned with a note saying so.
     """
-    c = classify(f)
-    sep = build_Z(f, best_layer(f, c))
+    c = classify(g.f)
+    sep = build_Z(g, best_layer(g.f, c))
     if c.tag == CASE_III:
         sep = replace(sep, note="all k in the Z family tie at this weight")
     return sep
@@ -85,9 +91,9 @@ def example_2310() -> ClassSeparator:
     order 6, 10 and 15: 630 = phi(2310) + 150 elements. Carries a verified
     witness whose small side is the single class of order 30.
     """
-    n = 2310
-    classes = frozenset({n, 210, 330}).union(*(subgroup_classes(n, d) for d in (6, 10, 15)))
-    sep = ClassSeparator(n=n, classes=classes, label="example-2310")
+    g = build_quotient(2310)
+    classes = frozenset({g.n, 210, 330}).union(*(subgroup_classes(g, d) for d in (6, 10, 15)))
+    sep = ClassSeparator(g, classes, label="example-2310")
     return replace(sep, witness=check_disconnects(sep))
 
 
@@ -99,7 +105,7 @@ def check_disconnects(s: ClassSeparator) -> SeparationWitness:
     such a survivor exists, else the smallest component; block_b merges the
     rest. Raises if the remainder is connected, empty, or a single class.
     """
-    g = build_quotient(s.n)
+    g = s.g
     comps = components_without(g, s.classes)
     survivors = [d for d in g.divisors if d not in s.classes]
     if len(survivors) < 2:
@@ -108,10 +114,9 @@ def check_disconnects(s: ClassSeparator) -> SeparationWitness:
         )
     if len(comps) < 2:
         raise ValueError(f"removing {sorted(s.classes)} leaves the quotient connected")
-    f = factorize(s.n)
     block_a: frozenset[int] | None = None
-    if f.r >= 2:
-        alpha0 = alpha_beta(f, 0)
+    if g.f.r >= 2:
+        alpha0 = alpha_beta(g.f, 0)
         layered = [d for d in survivors if d % alpha0 == 0]
         if layered:
             anchor = min(layered)
@@ -147,14 +152,11 @@ def enumerate_min_separators(g: QuotientGraph) -> list[ClassSeparator]:
     deduplicated, are the minimum separators.
     """
     kappa, found = min_cuts(g)
-    f = factorize(g.n)
-    z_labels = {
-        frozenset(build_Z(f, k).classes): f"Z({f.r},{k})"
-        for k in range(f.exponents[-1])
-    }
+    layers = [build_Z(g, k) for k in range(g.f.exponents[-1])]
+    z_labels = {z.classes: z.label for z in layers}
     results = []
     for classes in sorted(found, key=lambda s: tuple(sorted(s))):
-        sep = ClassSeparator(n=g.n, classes=classes, label=z_labels.get(classes, "enumerated"))
+        sep = ClassSeparator(g, classes, label=z_labels.get(classes, "enumerated"))
         if sep.weight != kappa:
             raise RuntimeError(f"cut {sorted(classes)} does not weigh the flow value {kappa}")
         results.append(replace(sep, witness=check_disconnects(sep)))

@@ -134,7 +134,7 @@ def test_criterion_4_minimum_separator_counts(kappa_table):
         f = factorize(n)
         g = build_quotient(n)
         seps = enumerate_min_separators(g)
-        expected = build_Z(f, f.exponents[-1] - 1).classes
+        expected = build_Z(g, f.exponents[-1] - 1).classes
         assert len(seps) == 1, f"n={n}: expected a unique minimum separator"
         assert seps[0].weight == kappa_table[n], n
         assert seps[0].classes == expected, f"n={n}: separator is not the top layer set"
@@ -147,7 +147,7 @@ def test_criterion_4_minimum_separator_counts(kappa_table):
         assert len(seps) == e2, f"n={n}: expected exactly {e2} minimum separators"
         assert all(s.weight == kappa_table[n] for s in seps), n
         assert {s.classes for s in seps} == {
-            frozenset(build_Z(f, k).classes) for k in range(e2)
+            frozenset(build_Z(g, k).classes) for k in range(e2)
         }, f"n={n}: separators are not the Z(2, k) family"
 
     for n in (30, 60, 90, 120, 150, 300):
@@ -155,7 +155,7 @@ def test_criterion_4_minimum_separator_counts(kappa_table):
         g = build_quotient(n)
         seps = enumerate_min_separators(g)
         assert len(seps) == 1, f"n={n}: expected a unique minimum separator"
-        assert seps[0].classes == build_Z(f, 0).classes, f"n={n}: not Z(3, 0)"
+        assert seps[0].classes == build_Z(g, 0).classes, f"n={n}: not Z(3, 0)"
         assert seps[0].weight == kappa_table[n], n
 
     _passed(
@@ -218,7 +218,7 @@ def test_criterion_6_layer_sets_size_and_disconnection():
             continue
         g = build_quotient(n)
         for k in range(f.exponents[-1]):
-            z = build_Z(f, k)
+            z = build_Z(g, k)
             assert z.weight == size_Z_formula(f, k), f"size mismatch at n={n}, k={k}"
             witness = check_disconnects(z)  # raises if the remainder is connected
             assert verify_witness(g, witness), (n, k)

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import pgk.arith
-from pgk import SeparationWitness, build_quotient, kappa_class, verify_witness
+from pgk import (
+    Factorization, QuotientGraph, SeparationWitness, build_quotient, kappa_class, verify_witness,
+)
 from pgk.cli import CSV_COLUMNS, Report, _sweep_max_n, build_report, main
 from pgk.connectivity import _ClassNet
 
@@ -195,6 +197,39 @@ def test_separators_witness_blocks(capsys):
     assert sep["witness"]["block_b"] == [3, 6, 9, 18]
 
 
+STRICT_NOTE = (
+    "heavier than kappa: the layer bound is strict here; --all-min lists the minimum separators"
+)
+
+
+@pytest.mark.parametrize("n, kappa, weight", [(2310, 630, 642), (1050, 318, 350)])
+def test_separators_says_when_the_layer_set_is_not_minimum(capsys, n, kappa, weight):
+    # where the case-ii bound is strict the best layer set still separates,
+    # but it is heavier than kappa, and the listing must not pass it off as
+    # a minimum separator
+    code, out, _ = run(capsys, "separators", str(n))
+    assert code == 0
+    assert out.splitlines()[0] == f"n = {n}, kappa = {kappa}"
+    assert out.splitlines()[1].endswith(f"weight {weight} ({STRICT_NOTE})")
+    code, out, _ = run(capsys, "separators", str(n), "--json")
+    (sep,) = json.loads(out)["separators"]
+    assert (code, sep["weight"], sep["note"]) == (0, weight, STRICT_NOTE)
+
+
+def test_separators_notes_exactly_the_strict_layer_sets(capsys):
+    # the note marks every n <= 5000 whose listed layer set weighs more than
+    # kappa, and no other n changes
+    noted = []
+    for n in range(2, 5001):
+        code, out, _ = run(capsys, "separators", str(n), "--json")
+        data = json.loads(out)
+        for sep in data["separators"]:
+            strict = sep["weight"] > data["kappa"]
+            assert (code, strict) == (0, sep["note"] == STRICT_NOTE), n
+            noted += [n] * strict
+    assert noted == [1050, 2100, 2310, 3150, 3234, 3822, 4200, 4290, 4620]
+
+
 def test_separators_all_min_past_old_guard(capsys):
     # tau(1680) = 40; --force is accepted and changes nothing
     code, out, _ = run(capsys, "separators", "1680", "--all-min", "--witness", "--json")
@@ -233,24 +268,60 @@ def test_separators_all_min_runs_the_flows_once(capsys, monkeypatch, n):
     assert len(calls) == alone > 0
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "separators 1944 --all-min --json",
-        "separators 2040 --all-min --witness --json",
-        "example2310 --json",
-        "separators 150 --witness",
-        "kappa 2310 --json",
-        "bound 2310 --json",
-        "kappa 210 --json --method both",
-    ],
-)
+ONE_N_COMMANDS = [
+    "separators 1944 --all-min --json",
+    "separators 2040 --all-min --witness --json",
+    "example2310 --json",
+    "separators 150 --witness",
+    "separators 2310",
+    "kappa 2310 --json",
+    "bound 2310 --json",
+    "kappa 210 --json --method both",
+]
+
+
+@pytest.mark.parametrize("argv", ONE_N_COMMANDS)
 def test_each_command_factors_n_once(capsys, argv):
     # every divisor and phi value comes from n's one Factorization, so the
     # only trial division is that of n itself
     pgk.arith.factorize.cache_clear()
     assert run(capsys, *argv.split())[0] == 0
     assert pgk.arith.factorize.cache_info().misses == 1
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Calls of Factorization.divisor_classes and QuotientGraph.__init__ from
+    any module, counted on the classes, so that no memo can hide a call."""
+    counts = {"expansions": 0, "quotients": 0}
+    expand, init = Factorization.divisor_classes, QuotientGraph.__init__
+
+    def counted_expand(self):
+        counts["expansions"] += 1
+        return expand(self)
+
+    def counted_init(self, *args, **kwargs):
+        counts["quotients"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Factorization, "divisor_classes", counted_expand)
+    monkeypatch.setattr(QuotientGraph, "__init__", counted_init)
+    return counts
+
+
+@pytest.mark.parametrize("argv", ONE_N_COMMANDS)
+def test_each_command_builds_at_most_one_quotient(capsys, built, argv):
+    # the quotient carries n's factorization and each separator its quotient,
+    # so no layer expands n's divisors or builds the quotient a second time;
+    # bound needs no divisor at all
+    assert run(capsys, *argv.split())[0] == 0
+    once = 0 if argv.startswith("bound") else 1
+    assert built == {"expansions": once, "quotients": once}
+
+
+def test_sweep_builds_one_quotient_per_row(capsys, built):
+    assert run(capsys, "sweep", "--max-n", "50")[0] == 0
+    assert built == {"expansions": 49, "quotients": 49}
 
 
 # --- bound and the 2310 certificate ----------------------------------------------

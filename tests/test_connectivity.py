@@ -205,7 +205,7 @@ def test_source_rule_stops_only_above_the_bound():
     # weigh 8 together, so after class 2 the visited weight 4 equals
     # 12 - 8. Stopping there (>= instead of >) loses {1, 2, 12}, because no
     # visited class lies outside it.
-    g = QuotientGraph(12, (1, 2, 3, 4, 6, 12), (5, 4, 4, 3, 4, 3))
+    g = QuotientGraph(factorize(12), (1, 2, 3, 4, 6, 12), (5, 4, 4, 3, 4, 3))
     subsets = [
         frozenset(c)
         for size in range(len(g.divisors) + 1)

@@ -12,6 +12,7 @@ from pgk import (
     PRIME_POWER,
     R3_EXACT,
     Factorization,
+    QuotientGraph,
     build_quotient,
     build_Z,
     classify,
@@ -222,7 +223,8 @@ def test_closed_forms_factor_nothing_again():
     assert classify(f).tag == CASE_III
     assert kappa_formula(f) == p == size_Z_formula(f, 0)
     assert upper_bound_ii(f) is None
-    assert build_Z(f, 0).classes == {1, 2 * p}
+    g = QuotientGraph(f, *zip(*f.divisor_classes()))  # by hand: build_quotient factors n
+    assert build_Z(g, 0).classes == {1, 2 * p}
     assert pgk.arith.factorize.cache_info().misses == 0
 
 

@@ -1,15 +1,18 @@
 """Property tests over random n, and lints on src/pgk: no asserts (in demos/
 either), no environment variables, an element oracle independent of the class
 route, a class route that imports only the quotient and no numeric library,
-and an ``__all__`` that matches the package."""
+n factored in one place per command, and an ``__all__`` that matches the
+package."""
 
 import ast
+from collections import Counter
 from math import prod
 from pathlib import Path
 
 import pytest
 
 import pgk
+from pgk import cli
 from pgk import (
     Factorization,
     build_quotient,
@@ -40,9 +43,9 @@ composite = st.integers(min_value=2, max_value=3000).filter(
 @settings(max_examples=200, deadline=None)
 @given(composite, st.data())
 def test_size_Z_formula_is_the_layer_set_weight(n, data):
-    f = factorize(n)
-    k = data.draw(st.integers(min_value=0, max_value=f.exponents[-1] - 1))
-    assert size_Z_formula(f, k) == build_Z(f, k).weight
+    g = build_quotient(n)
+    k = data.draw(st.integers(min_value=0, max_value=g.f.exponents[-1] - 1))
+    assert size_Z_formula(g.f, k) == build_Z(g, k).weight
 
 
 PRIMES_BELOW_1000 = [p for p in range(2, 1000) if factorize(p).factors == ((p, 1),)]
@@ -141,11 +144,47 @@ def pgk_imports(name):
     return imported
 
 
-@pytest.mark.parametrize("name", ["formulas.py", "separators.py", "cli.py"])
+@pytest.mark.parametrize("name", ["formulas.py", "quotient.py", "separators.py", "cli.py"])
 def test_phi_and_divisors_come_from_the_factorization_in_hand(name):
     # a Factorization carries phi(n) and every (d, phi(d)), so these modules
     # never factor a number again through totient or divisors
     assert not {i.rsplit(".", 1)[1] for i in pgk_imports(name)} & {"totient", "divisors"}
+
+
+def calls_by_definition(name):
+    """For each top-level function or class of the module, the names it calls
+    (plain or as an attribute), with repeats."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    return {
+        node.name: Counter(
+            call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))
+        )
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def test_separators_read_n_from_the_quotient():
+    # a separator carries its quotient and the quotient n's factorization, so
+    # only example_2310, which starts from a bare n, builds a quotient
+    assert "factorize" not in {i.rsplit(".", 1)[1] for i in pgk_imports("separators.py")}
+    calls = calls_by_definition("separators.py")
+    assert {name for name, called in calls.items() if called["build_quotient"]} == {"example_2310"}
+    assert calls["example_2310"]["build_quotient"] == 1
+
+
+def test_each_command_factors_n_in_one_place():
+    # bound needs no quotient and factors n itself; every other command and
+    # build_report builds at most one quotient and reads n's factorization there
+    calls = calls_by_definition("cli.py")
+    assert {name for name, called in calls.items() if called["factorize"]} == {"cmd_bound"}
+    assert calls["cmd_bound"]["factorize"] == 1
+    commands = [name for name in calls if name.startswith("cmd_")] + ["build_report"]
+    assert len(commands) == len(cli.COMMANDS) + 1
+    for name in commands:
+        assert calls[name]["build_quotient"] <= 1, name
 
 
 def test_element_oracle_imports_nothing_of_the_class_route():

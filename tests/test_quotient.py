@@ -12,6 +12,7 @@ from pgk import (
     divisors,
     element_adjacency,
     expand_to_elements,
+    factorize,
     subgroup_classes,
     totient,
 )
@@ -43,7 +44,8 @@ def test_quotient_weights_are_the_totients_of_the_divisors():
     # the one-pass build against the divisor list and a totient per divisor
     for n in range(1, 5001):
         ds = tuple(divisors(n))
-        assert build_quotient(n) == QuotientGraph(n, ds, tuple(totient(d) for d in ds)), n
+        weights = tuple(totient(d) for d in ds)
+        assert build_quotient(n) == QuotientGraph(factorize(n), ds, weights), n
 
 
 def test_quotient_rejects_zero():
@@ -74,14 +76,14 @@ def test_weight_conservation():
     ],
 )
 def test_subgroup_classes(n, d, expected):
-    got = subgroup_classes(n, d)
+    got = subgroup_classes(build_quotient(n), d)
     assert got == frozenset(expected)
     assert sum(totient(e) for e in got) == d  # the subgroup has exactly d elements
 
 
 def test_subgroup_classes_rejects_non_divisor():
     with pytest.raises(ValueError):
-        subgroup_classes(12, 5)
+        subgroup_classes(build_quotient(12), 5)
 
 
 @pytest.mark.parametrize(

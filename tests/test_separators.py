@@ -34,7 +34,7 @@ from test_connectivity import kappa_all_pairs
     ],
 )
 def test_build_Z_known(n, k, classes, weight):
-    z = build_Z(factorize(n), k)
+    z = build_Z(build_quotient(n), k)
     assert z.classes == frozenset(classes)
     assert z.weight == weight
     assert z.label == f"Z({factorize(n).r},{k})"
@@ -42,11 +42,11 @@ def test_build_Z_known(n, k, classes, weight):
 
 def test_build_Z_rejects_bad_input():
     with pytest.raises(ValueError):
-        build_Z(factorize(36), 2)
+        build_Z(build_quotient(36), 2)
     with pytest.raises(ValueError):
-        build_Z(factorize(36), -1)
+        build_Z(build_quotient(36), -1)
     with pytest.raises(ValueError):
-        build_Z(factorize(8), 0)  # single prime
+        build_Z(build_quotient(8), 0)  # single prime
 
 
 @pytest.mark.parametrize(
@@ -59,47 +59,48 @@ def test_size_Z_formula_known(n, k, size):
 
 def test_Z_weight_matches_formula_and_expansion():
     for n in range(2, 501):
-        f = factorize(n)
+        g = build_quotient(n)
+        f = g.f
         if f.r < 2:
             continue
         for k in range(f.exponents[-1]):
-            z = build_Z(f, k)
+            z = build_Z(g, k)
             assert z.weight == size_Z_formula(f, k), (n, k)
             assert len(expand_to_elements(n, z.classes)) == z.weight, (n, k)
 
 
 def test_Z_always_disconnects():
     for n in range(2, 501):
-        f = factorize(n)
-        if f.r < 2:
+        g = build_quotient(n)
+        if g.f.r < 2:
             continue
-        for k in range(f.exponents[-1]):
-            w = check_disconnects(build_Z(f, k))
-            assert verify_witness(build_quotient(n), w), (n, k)
+        for k in range(g.f.exponents[-1]):
+            w = check_disconnects(build_Z(g, k))
+            assert verify_witness(g, w), (n, k)
 
 
 def test_optimal_Z_choices():
-    z45 = optimal_Z(factorize(45))  # 2*phi(3) > 3 and e_2 = 1, so k = 0
+    z45 = optimal_Z(build_quotient(45))  # 2*phi(3) > 3 and e_2 = 1, so k = 0
     assert (sorted(z45.classes), z45.weight, z45.label) == ([1, 3, 45], 27, "Z(2,0)")
-    z75 = optimal_Z(factorize(75))  # 75 = 3 * 5^2: k = e_2 - 1 = 1
+    z75 = optimal_Z(build_quotient(75))  # 75 = 3 * 5^2: k = e_2 - 1 = 1
     assert z75.label == "Z(2,1)"
     assert z75.weight == kappa_formula(factorize(75)) == 45
-    z150 = optimal_Z(factorize(150))  # 2*phi(6) < 6: k = 0
+    z150 = optimal_Z(build_quotient(150))  # 2*phi(6) < 6: k = 0
     assert (z150.label, z150.weight) == ("Z(3,0)", 52)
-    z36 = optimal_Z(factorize(36))  # tie: every k has the same weight
+    z36 = optimal_Z(build_quotient(36))  # tie: every k has the same weight
     assert z36.label == "Z(2,0)"
     assert "tie" in z36.note
     with pytest.raises(ValueError):
-        optimal_Z(factorize(49))
+        optimal_Z(build_quotient(49))
 
 
 def test_optimal_Z_achieves_kappa_in_exact_cases():
     for n in range(2, 501):
-        f = factorize(n)
-        value = kappa_formula(f)
-        if f.r < 2 or value is None:
+        g = build_quotient(n)
+        value = kappa_formula(g.f)
+        if g.f.r < 2 or value is None:
             continue
-        assert optimal_Z(f).weight == value, n
+        assert optimal_Z(g).weight == value, n
 
 
 def test_example_2310_certificate():
@@ -119,23 +120,23 @@ def test_example_2310_certificate():
 def test_separator_weight_rejects_a_non_divisor():
     # the weights are those of n's classes, so a class outside n has none
     with pytest.raises(ValueError, match="^5 does not divide 12$"):
-        ClassSeparator(12, frozenset({1, 5, 12})).weight
+        ClassSeparator(build_quotient(12), frozenset({1, 5, 12})).weight
 
 
 def test_check_disconnects_blocks():
-    w36 = check_disconnects(build_Z(factorize(36), 0))
+    w36 = check_disconnects(build_Z(build_quotient(36), 0))
     assert (w36.block_a, w36.block_b) == (frozenset({4}), frozenset({3, 6, 9, 18}))
-    w105 = check_disconnects(build_Z(factorize(105), 0))
+    w105 = check_disconnects(build_Z(build_quotient(105), 0))
     assert w105.block_a == frozenset({15})
     assert w105.block_b == frozenset({7, 21, 35})
-    w36k1 = check_disconnects(build_Z(factorize(36), 1))
+    w36k1 = check_disconnects(build_Z(build_quotient(36), 1))
     assert w36k1.block_a == frozenset({4, 12})
 
 
 def test_check_disconnects_rejects_connected_remainder():
     from pgk import ClassSeparator
 
-    weak = ClassSeparator(n=12, classes=frozenset({1, 12}))
+    weak = ClassSeparator(build_quotient(12), frozenset({1, 12}))
     with pytest.raises(ValueError, match="connected"):
         check_disconnects(weak)
 
@@ -143,10 +144,10 @@ def test_check_disconnects_rejects_connected_remainder():
 def test_check_disconnects_rejects_tiny_remainders():
     from pgk import ClassSeparator
 
-    nearly_all = ClassSeparator(n=6, classes=frozenset({1, 2, 3}))
+    nearly_all = ClassSeparator(build_quotient(6), frozenset({1, 2, 3}))
     with pytest.raises(ValueError, match="survive"):
         check_disconnects(nearly_all)
-    foreign = ClassSeparator(n=12, classes=frozenset({5}))
+    foreign = ClassSeparator(build_quotient(12), frozenset({5}))
     with pytest.raises(ValueError, match="does not divide"):
         check_disconnects(foreign)
 
@@ -257,7 +258,7 @@ def test_enumeration_unique_cases():
 
     kappa30, seps30 = enumerate_for(30)
     assert kappa30 == 12 and len(seps30) == 1
-    assert seps30[0].classes == build_Z(factorize(30), 0).classes
+    assert seps30[0].classes == build_Z(build_quotient(30), 0).classes
 
 
 def test_enumeration_results_are_sound():
