@@ -4,10 +4,13 @@ A smallest disconnecting vertex set of the power graph is a union of whole
 order classes, so kappa(P(C_n)) is the minimum total phi-weight of a divisor
 set whose removal disconnects the quotient graph. That minimum is computed
 exactly by node-splitting max-flows (each class an arc of capacity phi(d),
-adjacency arcs unbounded) from a few heavy source classes to the classes not
+adjacency arcs unbounded) from a few source classes to the classes not
 adjacent to them; ``kappa_class`` states the source rule and its proof.
 Each call builds one network for the quotient (``_ClassNet``) and runs
-every flow on its own copy of the capacities. A flow first charges the
+every flow on its own copy of the capacities. Building it also weighs
+N(d), the classes comparable to d, for each d other than 1 and n; removing
+N(d) cuts d off, so the lightest of them seeds the running minimum and
+even the first flow stops one above it. A flow first charges the
 classes comparable to both endpoints, which lie in every separator, then
 runs an iterative Dinic on the rest; ``_ClassNet.flow`` proves the charge.
 The flows are plain Python and borrow nothing from the oracle's solver.
@@ -61,18 +64,32 @@ class _ClassNet:
     out of node a. Each max flow runs on a fresh copy of ``cap``, so the
     residual lists of several flows can be kept side by side. Callers name
     divisors only; the node numbering stays inside this class.
+
+    ``isolation`` is the least w(N(d)) over 1 < d < n, N(d) being the
+    classes comparable to d (d itself left out); the weight of every class
+    when there is no such d. Lemma: unless the quotient is complete, each
+    such N(d) is a separator, so kappa <= isolation. Proof: n then has two
+    primes. As d != n, some prime p has a smaller exponent in d than in n;
+    as d != 1, some prime q divides d. If p != q can be chosen, p^(e_p) and
+    d divide neither one the other. Otherwise p is the only prime of d and
+    the only prime short in d, so a second prime of n is at once absent
+    from d and short in it, which cannot be. So d has an incomparable class,
+    and removing N(d) leaves d cut off from it. The proof reads no weight,
+    so it holds for hand-weighted quotients too.
     """
 
     def __init__(self, g: QuotientGraph) -> None:
         self.g = g
-        ds = g.divisors
-        inf = g.n + 1  # exceeds the total class weight, so adjacency arcs never cut
+        ds, ws = g.divisors, g.weights
+        total = sum(ws)  # n, unless the quotient is weighted by hand
+        inf = total + 1  # exceeds every class cut, so adjacency arcs never cut
         # node a starts with arc a: class arc 2i leaves entry 2i, and its
         # reverse 2i + 1 leaves exit 2i + 1
         arcs: list[list[int]] = [[a] for a in range(2 * len(ds))]
         head = [a ^ 1 for a in range(2 * len(ds))]
         cap: list[int] = []
-        for w in g.weights:
+        near = [0] * len(ds)  # near[i] = w(N(ds[i]))
+        for w in ws:
             cap += (w, 0)
         for i, d in enumerate(ds):
             for j in range(i + 1, len(ds)):
@@ -85,9 +102,12 @@ class _ClassNet:
                     arcs[2 * i].append(e + 3)
                     head += (2 * j, 2 * i + 1, 2 * i, 2 * j + 1)
                     cap += (inf, 0, inf, 0)
+                    near[i] += ws[j]
+                    near[j] += ws[i]
         self.arcs = arcs
         self.head = head
         self.cap = cap
+        self.isolation = min(near[1:-1], default=total)
 
     def flow(self, u: int, v: int, limit: int | None = None) -> tuple[int, list[int]]:
         """Max flow from class u to class v, with its residual capacities.
@@ -245,24 +265,34 @@ def min_cut_between(g: QuotientGraph, u: int, v: int) -> tuple[int, frozenset[in
 
 
 def _source_flows(net: _ClassNet) -> Iterator[tuple[int, int, list[int], int]]:
-    # The source rule's flows as (source, sink, residual list, value). Each
-    # stops at best + 1, not best, so a flow that ties the running minimum is
-    # exact and its residual list holds every one of its minimum cuts.
+    # The source rule's flows as (source, sink, residual list, value). The
+    # running minimum best starts at the seed net.isolation, and each flow
+    # stops at best + 1, not best, so a flow that ties it is exact and its
+    # residual list holds every one of its minimum cuts.
     g = net.g
-    universal = g.weight(1) + g.weight(g.n)  # phi(n) + 1
-    best: int | None = None
+    ds, ws = g.divisors, g.weights
+    universal = ws[0] + ws[-1]  # phi(n) + 1
+    best = net.isolation
+    order = sorted(range(1, len(ds) - 1), key=ws.__getitem__, reverse=True)
+    # the classes that each end the rule alone; visit first the one with the
+    # fewest sinks, that is the most comparable classes, heavier on a tie
+    alone = [i for i in order if ws[i] > best - universal]
+    if alone:
+        first = max(alone, key=lambda i: (len(net.arcs[2 * i + 1]) - 1, ws[i]))
+        order.remove(first)
+        order.insert(0, first)
     visited = 0
-    for x in sorted(g.divisors[1:-1], key=g.weight, reverse=True):
-        for v in g.divisors:
-            if v != x and not g.adjacent(x, v):
-                w, res = net.flow(x, v, limit=None if best is None else best + 1)
+    for i in order:
+        x = ds[i]
+        for v in ds:
+            if v % x and x % v:
+                w, res = net.flow(x, v, limit=best + 1)
                 yield x, v, res, w
-                if best is None or w < best:
-                    best = w
-        visited += g.weight(x)
+                best = min(best, w)
+        visited += ws[i]
         # not >=: min_cuts needs a visited class outside every minimum
         # separator, and >= could stop on exactly one separator's classes
-        if best is not None and visited > best - universal:
+        if visited > best - universal:
             break
 
 
@@ -270,15 +300,22 @@ def kappa_class(g: QuotientGraph) -> KappaResult:
     """Exact kappa(P(C_n)) from the quotient graph.
 
     Source rule (Even 1975; Esfahanian and Hakimi 1984): visit the classes
-    x other than the universal 1 and n heaviest first, take the cheapest cut
-    from x to each class v not adjacent to it, and stop once the visited
-    weight exceeds best - phi(n) - 1, best being the running minimum.
+    x other than the universal 1 and n, take the cheapest cut from x to
+    each class v not adjacent to it, and stop once the visited weight
+    exceeds best - phi(n) - 1, best being the running minimum. best starts
+    at the seed ``_ClassNet.isolation``, the lightest N(d), which is a
+    separator, so best >= kappa throughout and every flow stops at best + 1.
+    The order of the visit is free. When one class on its own exceeds the
+    stop bound at the seed, the rule visits first the one with the most
+    comparable classes, so the fewest sinks; then the rest heaviest first.
 
     Proof sketch: a minimum separator S weighs kappa <= best and contains 1
     and n, so its other classes weigh at most best - phi(n) - 1. The visited
     set is heavier (or holds every class, while S leaves two), so some
-    visited x lies outside S. S separates x from some v in another
-    component, v is not adjacent to x, and cut(x, v) = kappa.
+    visited x lies outside S, whatever the order. S separates x from some
+    v in another component, v is not adjacent to x, and cut(x, v) = kappa;
+    that flow ran with a limit above best >= kappa, so it returned kappa
+    exactly.
     """
     n = g.n
     if g.is_complete:
@@ -295,19 +332,20 @@ def min_cuts(g: QuotientGraph) -> tuple[int, set[frozenset[int]]]:
     residual lists of the flows that tie the running minimum (dropping them
     when it falls), and lists the classes of every minimum cut
     (``_ClassNet.cuts``) of the flows left at the end, whose value is kappa.
+    The running minimum starts at the seed, as in ``kappa_class``.
     """
     if g.is_complete:
         raise ValueError("complete quotient has no separator; kappa = n - 1")
     net = _ClassNet(g)
-    best: int | None = None
+    best = net.isolation
     tight: list[tuple[int, int, list[int]]] = []
     for x, v, res, w in _source_flows(net):
-        if best is None or w < best:
+        if w < best:
             best, tight = w, []
         if w == best:
             tight.append((x, v, res))
-    if best is None:
-        raise RuntimeError(f"n={g.n}: a non-complete quotient has no non-adjacent pair")
+    if not tight:
+        raise RuntimeError(f"n={g.n}: no flow of the source rule reached the minimum {best}")
     cuts = {cut for x, v, res in tight for cut in net.cuts(res, x, v)}
     return best, cuts
 

@@ -47,7 +47,10 @@ class QuotientGraph:
 
     def index(self, d: int) -> int:
         """Position of divisor d in the ascending divisor list."""
-        return self._index[d]
+        try:
+            return self._index[d]
+        except KeyError:
+            raise ValueError(f"{d} does not divide {self.n}") from None
 
     def adjacent(self, d: int, e: int) -> bool:
         """True iff the classes of d and e are joined: d != e and one divides the other."""

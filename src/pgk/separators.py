@@ -142,8 +142,9 @@ def enumerate_min_separators(g: QuotientGraph) -> list[ClassSeparator]:
     Let S be a minimum separator. The rule visits some x outside S, and S
     separates x from a class v in another component, so v is not adjacent
     to x. Every x-v separator weighs at least cut(x, v) >= kappa = w(S), so
-    S is a minimum x-v cut and cut(x, v) = kappa. That flow ran with a limit
-    above the running minimum then, which was at least kappa, so it was
+    S is a minimum x-v cut and cut(x, v) = kappa. best starts at the seed,
+    the weight of a separator N(d) (``_ClassNet.isolation``), so it is at
+    least kappa throughout. That flow ran with a limit above it, so it was
     exact and ties best at the end. In the split network the minimum x-v
     vertex cuts are the minimum arc cuts (the adjacency arcs are never cut),
     and those are exactly the residual-closed source sides of one max flow

@@ -23,11 +23,13 @@ from pgk import (
     kappa_element_oracle,
     kappa_formula,
     lemma4_slack,
+    optimal_Z,
     size_Z_formula,
     totient,
     upper_bound_ii,
     verify_witness,
 )
+from pgk.connectivity import _ClassNet
 
 from test_formulas import printed_bound_ii, printed_case_i, printed_r3
 
@@ -258,6 +260,30 @@ def test_criterion_7_bound_validity_and_coincidences(kappa_table):
         "criterion 7 (upper bound)",
         time.perf_counter() - start,
         f"valid on {qualifying} qualifying n <= {MAX_N}, all coincidences exact",
+    )
+
+
+def test_conjecture_a_kappa_is_the_layer_set_or_the_seed(kappa_table):
+    # Conjecture A, not proved: for r >= 2, kappa is the lighter of the best
+    # layer set and the lightest isolating set N(d), the class cut's seed
+    start = time.perf_counter()
+    checked = seed_lower = layer_lower = 0
+    for n in range(2, MAX_N + 1):
+        g = build_quotient(n)
+        if g.is_complete:
+            continue
+        layer = optimal_Z(g).weight
+        seed = _ClassNet(g).isolation
+        assert kappa_table[n] == min(layer, seed), (n, kappa_table[n], layer, seed)
+        checked += 1
+        seed_lower += seed < layer
+        layer_lower += layer < seed
+    assert (checked, seed_lower, layer_lower) == (4288, 9, 28)
+    _passed(
+        "conjecture A (kappa = min(layer set, seed))",
+        time.perf_counter() - start,
+        f"{checked} n <= {MAX_N} with r >= 2: the seed is lower on {seed_lower}, "
+        f"the layer set on {layer_lower}",
     )
 
 

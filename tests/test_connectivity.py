@@ -10,6 +10,7 @@ from pgk import (
     KappaResult,
     QuotientGraph,
     SeparationWitness,
+    alpha_beta,
     build_quotient,
     components_without,
     factorize,
@@ -17,6 +18,7 @@ from pgk import (
     kappa_element_oracle,
     min_cut_between,
     totient,
+    upper_bound_ii,
     verify_witness,
     witness_problems,
 )
@@ -216,6 +218,132 @@ def test_source_rule_stops_only_above_the_bound():
     minima = {c for c in subsets if sum(g.weight(d) for d in c) == kappa}
     assert (kappa, minima) == (12, {frozenset({1, 2, 12}), frozenset({1, 6, 12})})
     assert min_cuts(g) == (kappa, minima)
+
+
+def test_hand_weights_above_n_never_cut_an_adjacency_arc():
+    # The weights sum to 701 > n = 30. Unbounded arcs of capacity n + 1 = 31
+    # would be cheaper to cut than the classes 5, 10 and 15 on the path 2,
+    # 10, 5, 15, 3, and the flows would report 163 with the cut {1, 30},
+    # which disconnects nothing.
+    g = QuotientGraph(factorize(30), (1, 2, 3, 5, 6, 10, 15, 30), (1,) + (100,) * 7)
+    subsets = [
+        frozenset(c)
+        for size in range(len(g.divisors) + 1)
+        for c in combinations(g.divisors, size)
+        if len(components_without(g, c)) > 1
+    ]
+    kappa = min(sum(g.weight(d) for d in c) for c in subsets)
+    minima = {c for c in subsets if sum(g.weight(d) for d in c) == kappa}
+    assert kappa == 301
+    assert kappa_class(g).kappa == kappa
+    assert min_cuts(g) == (kappa, minima)
+
+
+def unseeded_source_flows(net):
+    """Reference: the source rule with no seed, visiting heaviest first.
+
+    best starts unset, so the first flow runs with no limit."""
+    g = net.g
+    universal = g.weight(1) + g.weight(g.n)
+    best = None
+    visited = 0
+    for x in sorted(g.divisors[1:-1], key=g.weight, reverse=True):
+        for v in g.divisors:
+            if v != x and not g.adjacent(x, v):
+                w, res = net.flow(x, v, limit=None if best is None else best + 1)
+                yield x, v, res, w
+                if best is None or w < best:
+                    best = w
+        visited += g.weight(x)
+        if best is not None and visited > best - universal:
+            break
+
+
+def unseeded_min_cuts(g):
+    """Reference min_cuts over the unseeded, heaviest-first flows."""
+    net = _ClassNet(g)
+    best = None
+    tight = []
+    for x, v, res, w in unseeded_source_flows(net):
+        if best is None or w < best:
+            best, tight = w, []
+        if w == best:
+            tight.append((x, v, res))
+    return best, {cut for x, v, res in tight for cut in net.cuts(res, x, v)}
+
+
+def test_seeded_source_rule_matches_the_unseeded_one_up_to_1500():
+    for n in range(2, 1501):
+        g = build_quotient(n)
+        if g.is_complete:
+            continue
+        want = unseeded_min_cuts(g)
+        assert kappa_class(g).kappa == want[0], n
+        assert min_cuts(g) == want, n
+
+
+def test_source_rule_flow_counts(monkeypatch):
+    calls = []
+    flow = _ClassNet.flow
+
+    def counted(self, u, v, limit=None):
+        calls.append((u, v))
+        return flow(self, u, v, limit)
+
+    monkeypatch.setattr(_ClassNet, "flow", counted)
+
+    def flows(n):
+        calls.clear()
+        kappa_class(build_quotient(n))
+        return len(calls)
+
+    assert {n: flows(n) for n in (840, 2040, 4620, 1800)} == {
+        840: 7, 2040: 7, 4620: 15, 1800: 8
+    }
+    counts = [flows(n) for n in range(2, 2001)]
+    assert (sum(counts), max(counts)) == (3715, 15)
+
+
+def comparable_classes(g, d):
+    """N(d): the classes other than d that divide or are divided by d."""
+    return frozenset(c for c in g.divisors if g.adjacent(c, d))
+
+
+def check_seed_certificate(g):
+    seed = _ClassNet(g).isolation
+    weights = {d: sum(map(g.weight, comparable_classes(g, d))) for d in g.divisors[1:-1]}
+    assert seed == min(weights.values()), g.n
+    d = min(weights, key=weights.get)
+    assert len(components_without(g, comparable_classes(g, d))) >= 2, (g.n, d)
+    assert kappa_class(g).kappa <= seed, g.n
+    return seed
+
+
+def test_seed_is_the_weight_of_a_separator():
+    case_ii = 0
+    for n in range(2, 3001):
+        g = build_quotient(n)
+        if g.is_complete:
+            continue
+        seed = check_seed_certificate(g)
+        bound = upper_bound_ii(g.f)
+        if bound is not None:
+            # the bound |Z(r, 0)| is w(N(alpha_0)), so the seed is at most it
+            alpha0 = alpha_beta(g.f, 0)
+            assert sum(map(g.weight, comparable_classes(g, alpha0))) == bound, n
+            assert seed <= bound, n
+            case_ii += 1
+    assert case_ii == 899
+    hand = QuotientGraph(factorize(12), (1, 2, 3, 4, 6, 12), (5, 4, 4, 3, 4, 3))
+    assert check_seed_certificate(hand) == 12
+
+
+def test_flow_and_cuts_reject_non_divisors():
+    net = _ClassNet(build_quotient(12))
+    with pytest.raises(ValueError, match="^7 does not divide 12$"):
+        net.flow(7, 3)
+    with pytest.raises(ValueError, match="^7 does not divide 12$"):
+        next(net.cuts(net.cap, 3, 7))
 
 
 def test_source_rule_matches_all_pairs_up_to_600():

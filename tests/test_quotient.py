@@ -59,6 +59,13 @@ def test_adjacent_rejects_non_divisors():
         g.adjacent(5, 6)
 
 
+@pytest.mark.parametrize("lookup", ["index", "weight"])
+def test_lookups_reject_non_divisors_with_one_message(lookup):
+    g = build_quotient(12)
+    with pytest.raises(ValueError, match="^7 does not divide 12$"):
+        getattr(g, lookup)(7)
+
+
 def test_weight_conservation():
     # class sizes partition the group
     for n in range(1, 301):
