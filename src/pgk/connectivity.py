@@ -4,13 +4,15 @@ A smallest disconnecting vertex set of the power graph is a union of whole
 order classes, so kappa(P(C_n)) is the minimum total phi-weight of a divisor
 set whose removal disconnects the quotient graph. That minimum is computed
 exactly by node-splitting max-flows (each class an arc of capacity phi(d),
-adjacency arcs unbounded) from a few source classes to the classes not
-adjacent to them; ``kappa_class`` states the source rule and its proof.
-Each call builds one network for the quotient (``_ClassNet``) and runs
-every flow on its own copy of the capacities. Building it also weighs
-N(d), the classes comparable to d, for each d other than 1 and n; removing
-N(d) cuts d off, so the lightest of them seeds the running minimum and
-even the first flow stops one above it. A flow first charges the
+adjacency arcs without capacity) from a few source classes to the classes
+not adjacent to them; ``kappa_class`` states the source rule and its proof.
+Each call builds one network for the quotient (``_ClassNet``): one Python
+int per class, the bitmask of the classes comparable to it, and no arc
+list. Every flow keeps its own residual state, and its BFS layers, DFS
+steps and cut closures are bit operations on those masks. Building it also
+weighs N(d), the classes comparable to d, for each d other than 1 and n;
+removing N(d) cuts d off, so the lightest of them seeds the running minimum
+and even the first flow stops one above it. A flow first charges the
 classes comparable to both endpoints, which lie in every separator, then
 runs an iterative Dinic on the rest; ``_ClassNet.flow`` proves the charge.
 The flows are plain Python and borrow nothing from the oracle's solver.
@@ -26,8 +28,7 @@ the paper's cases n falls in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Collection, Iterator
+from typing import Iterator, NamedTuple
 
 from .quotient import QuotientGraph
 
@@ -54,16 +55,52 @@ class SeparationWitness:
     block_b: frozenset[int]
 
 
+def _union(masks: list[int], m: int) -> int:
+    # the OR of masks[i] over the set bits i of m
+    acc = 0
+    while m:
+        low = m & -m
+        acc |= masks[low.bit_length() - 1]
+        m ^= low
+    return acc
+
+
+class _Flow(NamedTuple):
+    """The residual state of one flow on a ``_ClassNet``; see ``_ClassNet.flow``."""
+
+    r: list[int]  # r[i]: the residual capacity of class arc i
+    fbits: int  # the classes whose class arc carries flow
+    avail: int  # the classes with r[i] > 0
+    amt: dict[tuple[int, int], int]  # amt[i, j] > 0: the flow on exit(i) -> entry(j)
+    back: list[int]  # back[j]: the i with amt[i, j] > 0
+    fwd: list[int]  # fwd[i]: the j with amt[i, j] > 0
+
+
 class _ClassNet:
     """The class-cut network of one quotient, built once and never changed.
 
-    Divisor i is split into an entry node 2i and an exit node 2i + 1, joined
-    by arc 2i of capacity phi(d); comparable classes are joined exit to
-    entry, both ways, by arcs too heavy for any cut. Arc e runs to head[e]
-    with capacity cap[e], e ^ 1 is its reverse, and arcs[a] lists the arcs
-    out of node a. Each max flow runs on a fresh copy of ``cap``, so the
-    residual lists of several flows can be kept side by side. Callers name
-    divisors only; the node numbering stays inside this class.
+    Divisor i is split into an entry node and an exit node, joined by class
+    arc i of capacity phi(d); comparable classes are joined exit to entry,
+    both ways, by adjacency arcs with no capacity at all. Node sets are
+    bitmasks over the divisor indices, one for entries and one for exits:
+    bit j of ``comp[i]`` is set iff d_i and d_j are comparable, so
+    ``comp[i]`` lists both the entries that exit(i) leads to and the exits
+    that lead to entry(i). Each flow keeps its own residual state, so the
+    states of several flows can be kept side by side. Callers name divisors
+    only; the indices stay inside this class.
+
+    Uncapacitated adjacency arcs are exact for any weights, hand weights
+    summing above n included: for non-adjacent u and v the class arcs of
+    every other class form a finite cut, so a minimum cut is finite, crosses
+    no adjacency arc, and is the class set of the class arcs it crosses.
+
+    Lemma (alternating layers): an entry node's arcs lead only to exits (its
+    own class arc, and the reverses of adjacency arcs into it) and an exit
+    node's only to entries (adjacency arcs, and the reverse of its own class
+    arc). So every residual path alternates exits and entries, every BFS
+    layer from an exit is all exits or all entries, and each is one mask.
+    The classes comparable to both ends x and y of a flow, which it charges
+    up front, are one mask too: ``comp[x] & comp[y]``.
 
     ``isolation`` is the least w(N(d)) over 1 < d < n, N(d) being the
     classes comparable to d (d itself left out); the weight of every class
@@ -81,168 +118,210 @@ class _ClassNet:
     def __init__(self, g: QuotientGraph) -> None:
         self.g = g
         ds, ws = g.divisors, g.weights
-        total = sum(ws)  # n, unless the quotient is weighted by hand
-        inf = total + 1  # exceeds every class cut, so adjacency arcs never cut
-        # node a starts with arc a: class arc 2i leaves entry 2i, and its
-        # reverse 2i + 1 leaves exit 2i + 1
-        arcs: list[list[int]] = [[a] for a in range(2 * len(ds))]
-        head = [a ^ 1 for a in range(2 * len(ds))]
-        cap: list[int] = []
+        comp = [0] * len(ds)
         near = [0] * len(ds)  # near[i] = w(N(ds[i]))
-        for w in ws:
-            cap += (w, 0)
         for i, d in enumerate(ds):
             for j in range(i + 1, len(ds)):
                 if ds[j] % d == 0:
-                    # exit(i) -> entry(j) is arc e, exit(j) -> entry(i) is e + 2
-                    e = len(cap)
-                    arcs[2 * i + 1].append(e)
-                    arcs[2 * j].append(e + 1)
-                    arcs[2 * j + 1].append(e + 2)
-                    arcs[2 * i].append(e + 3)
-                    head += (2 * j, 2 * i + 1, 2 * i, 2 * j + 1)
-                    cap += (inf, 0, inf, 0)
+                    comp[i] |= 1 << j
+                    comp[j] |= 1 << i
                     near[i] += ws[j]
                     near[j] += ws[i]
-        self.arcs = arcs
-        self.head = head
-        self.cap = cap
-        self.isolation = min(near[1:-1], default=total)
+        self.comp = comp
+        self.full = (1 << len(ds)) - 1
+        # the classes whose arc has capacity: a hand weight may be 0
+        self.positive = sum(1 << i for i, w in enumerate(ws) if w > 0)
+        self.isolation = min(near[1:-1], default=sum(ws))
 
-    def flow(self, u: int, v: int, limit: int | None = None) -> tuple[int, list[int]]:
-        """Max flow from class u to class v, with its residual capacities.
+    def flow(self, u: int, v: int, limit: int | None = None) -> tuple[int, _Flow]:
+        """Max flow from exit(u) to entry(v), with its residual state.
 
         May stop early once the flow reaches ``limit``: a value below
-        ``limit`` is the exact max flow, with the residual network to match;
+        ``limit`` is the exact max flow, with the residual state to match;
         an early stop returns a value >= limit.
 
-        Common-neighbour charge (Menger): a class c comparable to both u and
-        v, that is a divisor of gcd(u, v) or a multiple of lcm(u, v), lies
-        on the path u, c, v, so it is in every u-v separator. In the network
-        entry(c) is on the source side of every finite cut, because an
-        infinite arc comes from exit(u), and exit(c) is on the sink side,
-        because an infinite arc goes to entry(v); so arc c crosses every
-        finite cut. Its capacity is added to the value before any search and
-        the arc is zeroed in the residual list. Every finite cut then loses
-        the same charge, so the minimum cuts are the same node sets, and a
-        charge that reaches ``limit`` returns before any search. No flow can
-        pass entry(c): its class arc is empty, and its other arcs out are the
-        reverses of arcs into it, which carry no flow. So after the flow
-        entry(c) is still reached from exit(u) and exit(c) still reaches
-        entry(v), and ``cuts`` reports c in every cut.
+        The residual arcs of a state are: entry(i) -> exit(i) for i in
+        ``avail``, exit(i) -> entry(i) for i in ``fbits`` (carrying
+        phi(d_i) - r[i]), exit(i) -> entry(j) for j in ``comp[i]``, always,
+        and entry(j) -> exit(i) for i in ``back[j]`` (carrying amt[i, j]).
 
-        The rest is Dinic's algorithm (1970): a BFS by frontier that stops
-        at the sink's level, then a blocking flow found by a DFS with
-        current-arc pointers that drops dead-end nodes from the level graph.
+        Common-neighbour charge (Menger): a class c comparable to both u and
+        v, that is a bit of ``comp[u] & comp[v]``, lies on the path u, c, v,
+        so it is in every u-v separator. In the network entry(c) is on the
+        source side of every finite cut, because an adjacency arc comes from
+        exit(u), and exit(c) is on the sink side, because one goes to
+        entry(v); so arc c crosses every finite cut. Its capacity is added
+        to the value before any search, its residual r set to 0, and it
+        carries no flow. Every finite cut then loses the same charge, so
+        the minimum cuts are the same node sets, and a charge that reaches
+        ``limit`` returns before any search. No flow can pass entry(c): its
+        class arc is empty, and its other arcs out are the reverses of arcs
+        into it, which carry no flow. So after the flow entry(c) is still
+        reached from exit(u) and exit(c) still reaches entry(v), and
+        ``cuts`` reports c in every cut.
+
+        The rest is Dinic's algorithm (1970). The BFS builds the alternating
+        layers as masks, the next entries being the ``comp`` of the exit
+        frontier and the next exits the ``back`` of the entry frontier, plus
+        the class arcs, and stops at the sink's layer, which keeps only the
+        sink. The blocking flow is a DFS that steps to the lowest set bit of
+        a node's residual successors in the next layer and clears a dead-end
+        node from its layer's mask, so no node is tried twice in a phase.
         """
         g = self.g
-        out, head = self.arcs, self.head
-        s, t = 2 * g.index(u) + 1, 2 * g.index(v)
-        res = self.cap.copy()
+        comp, ws = self.comp, g.weights
+        x, y = g.index(u), g.index(v)
+        r = list(ws)
         value = 0
-        common = gcd(u, v)
-        joint = u // common * v
-        for i, d in enumerate(g.divisors):
-            if common % d == 0 or d % joint == 0:
-                value += res[2 * i]
-                res[2 * i] = 0
+        charged = comp[x] & comp[y]
+        m = charged
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            value += r[i]
+            r[i] = 0
+            m ^= low
+        avail = self.positive & ~charged
+        fbits = 0
+        amt: dict[tuple[int, int], int] = {}
+        back = [0] * len(ws)
+        fwd = [0] * len(ws)
+        source, sink = 1 << x, 1 << y
         while limit is None or value < limit:
-            level = [-1] * len(out)
-            level[s] = 0
-            frontier = [s]
-            depth = 0
-            while frontier and level[t] < 0:
-                depth += 1
-                reached = []
-                for a in frontier:
-                    for e in out[a]:
-                        b = head[e]
-                        if res[e] and level[b] < 0:
-                            level[b] = depth
-                            reached.append(b)
-                frontier = reached
-            if level[t] < 0:
+            # layers[k] is a mask of exits for even k and of entries for odd k
+            layers = [source]
+            seen_x, seen_e = source, 0
+            front = source
+            while True:
+                front = (_union(comp, front) | front & fbits) & ~seen_e
+                if not front or front & sink:
+                    break
+                seen_e |= front
+                layers.append(front)
+                front = (_union(back, front) | front & avail) & ~seen_x
+                if not front:
+                    break
+                seen_x |= front
+                layers.append(front)
+            if not front & sink:
                 break
-            it = [0] * len(out)
-            nodes = [s]  # the DFS path's nodes; path holds its arcs
-            path: list[int] = []
-            while nodes:
-                a = nodes[-1]
-                if a == t:
-                    pushed = min(res[e] for e in path)
-                    for e in path:
-                        res[e] -= pushed
-                        res[e ^ 1] += pushed
-                    value += pushed
-                    if limit is not None and value >= limit:
-                        return value, res
-                    # retreat to the tail of the first arc the push emptied
-                    k = next(k for k, e in enumerate(path) if not res[e])
-                    del nodes[k + 1 :], path[k:]
-                    continue
-                arcs = out[a]
-                want = level[a] + 1
-                for i in range(it[a], len(arcs)):
-                    e = arcs[i]
-                    b = head[e]
-                    if res[e] and level[b] == want:
-                        it[a] = i
-                        nodes.append(b)
-                        path.append(e)
-                        break
-                else:
-                    level[a] = -1  # dead end: no augmenting path passes a this phase
-                    nodes.pop()
-                    if path:
+            layers.append(sink)
+            depth = len(layers) - 1
+            path = [x]  # the DFS path's nodes, path[k] in layers[k]
+            while path:
+                k = len(path) - 1
+                a = path[k]
+                if k < depth:
+                    if k & 1:
+                        step = back[a] | avail & (1 << a)
+                    else:
+                        step = comp[a] | fbits & (1 << a)
+                    step &= layers[k + 1]
+                    if step:
+                        path.append((step & -step).bit_length() - 1)
+                    else:
+                        layers[k] &= ~(1 << a)  # dead end: no augmenting path passes a this phase
                         path.pop()
-        return value, res
+                    continue
+                pushed = 0  # none yet: every path holds a class or reverse arc
+                for k in range(depth):
+                    a, b = path[k], path[k + 1]
+                    if k & 1:
+                        c = r[a] if a == b else amt[b, a]
+                    elif a == b:
+                        c = ws[a] - r[a]
+                    else:
+                        continue  # an adjacency arc: no capacity
+                    if not pushed or c < pushed:
+                        pushed = c
+                emptied = depth
+                for k in range(depth):
+                    a, b = path[k], path[k + 1]
+                    if k & 1:
+                        if a == b:
+                            r[a] -= pushed
+                            fbits |= 1 << a
+                            if r[a]:
+                                continue
+                            avail &= ~(1 << a)
+                        else:
+                            left = amt[b, a] - pushed
+                            if left:
+                                amt[b, a] = left
+                                continue
+                            del amt[b, a]
+                            back[a] &= ~(1 << b)
+                            fwd[b] &= ~(1 << a)
+                    elif a == b:
+                        r[a] += pushed
+                        avail |= 1 << a
+                        if r[a] != ws[a]:
+                            continue
+                        fbits &= ~(1 << a)
+                    else:
+                        amt[a, b] = amt.get((a, b), 0) + pushed
+                        back[b] |= 1 << a
+                        fwd[a] |= 1 << b
+                        continue
+                    emptied = min(emptied, k)
+                value += pushed
+                if limit is not None and value >= limit:
+                    return value, _Flow(r, fbits, avail, amt, back, fwd)
+                # retreat to the tail of the first arc the push emptied
+                del path[emptied + 1 :]
+        return value, _Flow(r, fbits, avail, amt, back, fwd)
 
     def _closure(
-        self, res: list[int], node: int, forward: bool, closed: Collection[int] = ()
-    ) -> set[int]:
-        # closed plus every node that node reaches along residual arcs
-        # (forward) or that reaches it (backward); closed must be closed that way
-        seen = set(closed)
-        seen.add(node)
-        todo = [node]
-        while todo:
-            a = todo.pop()
-            for e in self.arcs[a]:
-                b = self.head[e]
-                if b not in seen and res[e if forward else e ^ 1] > 0:
-                    seen.add(b)
-                    todo.append(b)
-        return seen
+        self, st: _Flow, xs: int, es: int, forward: bool, closed: tuple[int, int] = (0, 0)
+    ) -> tuple[int, int]:
+        # closed plus every node that the exits xs and entries es reach along
+        # residual arcs (forward) or that reach them (backward), as an (exits,
+        # entries) pair of masks; closed must be closed the same way
+        if forward:
+            x_self, x_next, e_self, e_next = st.fbits, self.comp, st.avail, st.back
+        else:
+            x_self, x_next, e_self, e_next = st.avail, st.fwd, st.fbits, self.comp
+        seen_x, seen_e = closed[0] | xs, closed[1] | es
+        while xs or es:
+            xs, es = (
+                (_union(e_next, es) | es & e_self) & ~seen_x,
+                (_union(x_next, xs) | xs & x_self) & ~seen_e,
+            )
+            seen_x |= xs
+            seen_e |= es
+        return seen_x, seen_e
 
-    def _classes(self, side: set[int]) -> frozenset[int]:
-        # the classes whose capacity arc leaves the source side
-        return frozenset(
-            d for i, d in enumerate(self.g.divisors) if 2 * i in side and 2 * i + 1 not in side
-        )
-
-    def cuts(self, res: list[int], u: int, v: int) -> Iterator[frozenset[int]]:
+    def cuts(self, st: _Flow, u: int, v: int) -> Iterator[frozenset[int]]:
         """The classes of every minimum u-v cut, after an exact max flow u to v.
 
         The residual-closed node sets holding u's exit and not v's entry are
         exactly the source sides of the minimum cuts (Picard and Queyranne
-        1980). Start from the forward closure of the source and the backward
-        closure of the sink, then branch on a free node a: put its forward
-        closure on the source side, or its backward closure on the sink
-        side. Both branches always succeed, because a closed side cannot
-        reach (or be reached from) a free node, so every leaf is a distinct
-        cut and the delay is polynomial. The sink-side branch is taken first,
-        so the first cut is the one cut by the residual closure of u.
+        1980). A side is an (exits, entries) pair of masks. Start from the
+        forward closure of the source and the backward closure of the sink,
+        then branch on a free node a, the first of entry(0), exit(0),
+        entry(1), ... on neither side: put its forward closure on the source
+        side, or its backward closure on the sink side. Both branches always
+        succeed, because a closed side cannot reach (or be reached from) a
+        free node, so every leaf is a distinct cut and the delay is
+        polynomial. The sink-side branch is taken first, so the first cut is
+        the one cut by the residual closure of u. The classes of a cut are
+        those whose entry is on the source side and whose exit is not.
         """
-        s, t = 2 * self.g.index(u) + 1, 2 * self.g.index(v)
-        stack = [(self._closure(res, s, True), self._closure(res, t, False))]
+        g = self.g
+        x, y = g.index(u), g.index(v)
+        stack = [(self._closure(st, 1 << x, 0, True), self._closure(st, 0, 1 << y, False))]
         while stack:
             side, other = stack.pop()
-            a = next((a for a in range(len(self.arcs)) if a not in side and a not in other), None)
-            if a is None:
-                yield self._classes(side)
+            free_x = self.full & ~(side[0] | other[0])
+            free_e = self.full & ~(side[1] | other[1])
+            if not free_x | free_e:
+                cut = side[1] & ~side[0]
+                yield frozenset(d for i, d in enumerate(g.divisors) if cut >> i & 1)
                 continue
-            stack.append((self._closure(res, a, True, side), other))
-            stack.append((side, self._closure(res, a, False, other)))
+            low_x, low_e = free_x & -free_x, free_e & -free_e
+            node = (0, low_e) if low_e and (not low_x or low_e <= low_x) else (low_x, 0)
+            stack.append((self._closure(st, *node, True, side), other))
+            stack.append((side, self._closure(st, *node, False, other)))
 
 
 def min_cut_between(g: QuotientGraph, u: int, v: int) -> tuple[int, frozenset[int]]:
@@ -257,18 +336,18 @@ def min_cut_between(g: QuotientGraph, u: int, v: int) -> tuple[int, frozenset[in
     if g.adjacent(u, v):
         raise ValueError(f"classes {u} and {v} are adjacent; no vertex cut separates them")
     net = _ClassNet(g)
-    weight, res = net.flow(u, v)
-    cut = next(net.cuts(res, u, v))
+    weight, st = net.flow(u, v)
+    cut = next(net.cuts(st, u, v))
     if weight != sum(g.weight(d) for d in cut):
         raise RuntimeError(f"cut {sorted(cut)} does not weigh the flow value {weight}")
     return weight, cut
 
 
-def _source_flows(net: _ClassNet) -> Iterator[tuple[int, int, list[int], int]]:
-    # The source rule's flows as (source, sink, residual list, value). The
+def _source_flows(net: _ClassNet) -> Iterator[tuple[int, int, _Flow, int]]:
+    # The source rule's flows as (source, sink, residual state, value). The
     # running minimum best starts at the seed net.isolation, and each flow
     # stops at best + 1, not best, so a flow that ties it is exact and its
-    # residual list holds every one of its minimum cuts.
+    # residual state holds every one of its minimum cuts.
     g = net.g
     ds, ws = g.divisors, g.weights
     universal = ws[0] + ws[-1]  # phi(n) + 1
@@ -278,7 +357,7 @@ def _source_flows(net: _ClassNet) -> Iterator[tuple[int, int, list[int], int]]:
     # fewest sinks, that is the most comparable classes, heavier on a tie
     alone = [i for i in order if ws[i] > best - universal]
     if alone:
-        first = max(alone, key=lambda i: (len(net.arcs[2 * i + 1]) - 1, ws[i]))
+        first = max(alone, key=lambda i: (net.comp[i].bit_count(), ws[i]))
         order.remove(first)
         order.insert(0, first)
     visited = 0
@@ -286,8 +365,8 @@ def _source_flows(net: _ClassNet) -> Iterator[tuple[int, int, list[int], int]]:
         x = ds[i]
         for v in ds:
             if v % x and x % v:
-                w, res = net.flow(x, v, limit=best + 1)
-                yield x, v, res, w
+                w, st = net.flow(x, v, limit=best + 1)
+                yield x, v, st, w
                 best = min(best, w)
         visited += ws[i]
         # not >=: min_cuts needs a visited class outside every minimum
@@ -329,7 +408,7 @@ def min_cuts(g: QuotientGraph) -> tuple[int, set[frozenset[int]]]:
     """kappa and every minimum x-v cut over the source rule's pairs, in one pass.
 
     Runs the flows of ``kappa_class`` once on one network, keeps the
-    residual lists of the flows that tie the running minimum (dropping them
+    residual states of the flows that tie the running minimum (dropping them
     when it falls), and lists the classes of every minimum cut
     (``_ClassNet.cuts``) of the flows left at the end, whose value is kappa.
     The running minimum starts at the seed, as in ``kappa_class``.
@@ -338,15 +417,15 @@ def min_cuts(g: QuotientGraph) -> tuple[int, set[frozenset[int]]]:
         raise ValueError("complete quotient has no separator; kappa = n - 1")
     net = _ClassNet(g)
     best = net.isolation
-    tight: list[tuple[int, int, list[int]]] = []
-    for x, v, res, w in _source_flows(net):
+    tight: list[tuple[int, int, _Flow]] = []
+    for x, v, st, w in _source_flows(net):
         if w < best:
             best, tight = w, []
         if w == best:
-            tight.append((x, v, res))
+            tight.append((x, v, st))
     if not tight:
         raise RuntimeError(f"n={g.n}: no flow of the source rule reached the minimum {best}")
-    cuts = {cut for x, v, res in tight for cut in net.cuts(res, x, v)}
+    cuts = {cut for x, v, st in tight for cut in net.cuts(st, x, v)}
     return best, cuts
 
 

@@ -145,10 +145,11 @@ def enumerate_min_separators(g: QuotientGraph) -> list[ClassSeparator]:
     S is a minimum x-v cut and cut(x, v) = kappa. best starts at the seed,
     the weight of a separator N(d) (``_ClassNet.isolation``), so it is at
     least kappa throughout. That flow ran with a limit above it, so it was
-    exact and ties best at the end. In the split network the minimum x-v
-    vertex cuts are the minimum arc cuts (the adjacency arcs are never cut),
-    and those are exactly the residual-closed source sides of one max flow
-    (Picard and Queyranne 1980). Conversely each such cut weighs kappa and
+    exact and ties best at the end. In the split network the adjacency arcs
+    have no capacity, so a minimum x-v cut crosses class arcs only, and the
+    minimum x-v vertex cuts are the class sets of the minimum cuts. Those
+    are exactly the residual-closed source sides of one max flow (Picard
+    and Queyranne 1980). Conversely each such cut weighs kappa and
     separates x from v. So the cuts of the flows that tie best at the end,
     deduplicated, are the minimum separators.
     """

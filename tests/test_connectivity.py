@@ -1,8 +1,11 @@
 """Class-level connectivity: kappa, pairwise cuts, witnesses."""
 
+import copy
 import random
 from collections import deque
 from itertools import combinations
+from math import gcd
+from unittest import mock
 
 import pytest
 
@@ -22,6 +25,7 @@ from pgk import (
     verify_witness,
     witness_problems,
 )
+from pgk import connectivity
 from pgk.cli import main
 from pgk.connectivity import _ClassNet, min_cuts
 
@@ -41,11 +45,166 @@ def test_kappa_class_result_fields():
     assert kappa_class(build_quotient(8)) == KappaResult(8, 7, "class-cut")
 
 
+class ArcNet:
+    """Reference: the class-cut network as an arc list, with an iterative Dinic.
+
+    Divisor i is split into an entry node 2i and an exit node 2i + 1, joined
+    by arc 2i of capacity phi(d); comparable classes are joined exit to
+    entry, both ways, by arcs of capacity total weight + 1, which no cut can
+    afford. Arc e runs to head[e] with capacity cap[e], e ^ 1 is its
+    reverse, and arcs[a] lists the arcs out of node a. Each flow runs on a
+    fresh copy of ``cap`` and returns the residual list. It offers what the
+    source rule reads of ``_ClassNet`` (``g``, ``comp``, ``isolation``,
+    ``flow`` and ``cuts``), so the rule can run on either network.
+    """
+
+    def __init__(self, g):
+        self.g = g
+        ds, ws = g.divisors, g.weights
+        total = sum(ws)
+        inf = total + 1
+        # node a starts with arc a: class arc 2i leaves entry 2i, and its
+        # reverse 2i + 1 leaves exit 2i + 1
+        arcs = [[a] for a in range(2 * len(ds))]
+        head = [a ^ 1 for a in range(2 * len(ds))]
+        cap = []
+        comp = [0] * len(ds)
+        near = [0] * len(ds)
+        for w in ws:
+            cap += (w, 0)
+        for i, d in enumerate(ds):
+            for j in range(i + 1, len(ds)):
+                if ds[j] % d == 0:
+                    # exit(i) -> entry(j) is arc e, exit(j) -> entry(i) is e + 2
+                    e = len(cap)
+                    arcs[2 * i + 1].append(e)
+                    arcs[2 * j].append(e + 1)
+                    arcs[2 * j + 1].append(e + 2)
+                    arcs[2 * i].append(e + 3)
+                    head += (2 * j, 2 * i + 1, 2 * i, 2 * j + 1)
+                    cap += (inf, 0, inf, 0)
+                    comp[i] |= 1 << j
+                    comp[j] |= 1 << i
+                    near[i] += ws[j]
+                    near[j] += ws[i]
+        self.arcs = arcs
+        self.head = head
+        self.cap = cap
+        self.comp = comp
+        self.isolation = min(near[1:-1], default=total)
+
+    def flow(self, u, v, limit=None):
+        """Max flow from class u to class v, with its residual capacities,
+        stopping once the value reaches ``limit``. The classes comparable to
+        both u and v are charged and their arcs emptied first."""
+        g = self.g
+        out, head = self.arcs, self.head
+        s, t = 2 * g.index(u) + 1, 2 * g.index(v)
+        res = self.cap.copy()
+        value = 0
+        common = gcd(u, v)
+        joint = u // common * v
+        for i, d in enumerate(g.divisors):
+            if common % d == 0 or d % joint == 0:
+                value += res[2 * i]
+                res[2 * i] = 0
+        while limit is None or value < limit:
+            level = [-1] * len(out)
+            level[s] = 0
+            frontier = [s]
+            depth = 0
+            while frontier and level[t] < 0:
+                depth += 1
+                reached = []
+                for a in frontier:
+                    for e in out[a]:
+                        b = head[e]
+                        if res[e] and level[b] < 0:
+                            level[b] = depth
+                            reached.append(b)
+                frontier = reached
+            if level[t] < 0:
+                break
+            it = [0] * len(out)
+            nodes = [s]  # the DFS path's nodes; path holds its arcs
+            path = []
+            while nodes:
+                a = nodes[-1]
+                if a == t:
+                    pushed = min(res[e] for e in path)
+                    for e in path:
+                        res[e] -= pushed
+                        res[e ^ 1] += pushed
+                    value += pushed
+                    if limit is not None and value >= limit:
+                        return value, res
+                    # retreat to the tail of the first arc the push emptied
+                    k = next(k for k, e in enumerate(path) if not res[e])
+                    del nodes[k + 1 :], path[k:]
+                    continue
+                arcs = out[a]
+                want = level[a] + 1
+                for i in range(it[a], len(arcs)):
+                    e = arcs[i]
+                    b = head[e]
+                    if res[e] and level[b] == want:
+                        it[a] = i
+                        nodes.append(b)
+                        path.append(e)
+                        break
+                else:
+                    level[a] = -1  # dead end for this phase
+                    nodes.pop()
+                    if path:
+                        path.pop()
+        return value, res
+
+    def _closure(self, res, node, forward, closed=()):
+        # closed plus every node that node reaches along residual arcs
+        # (forward) or that reaches it (backward); closed must be closed that way
+        seen = set(closed)
+        seen.add(node)
+        todo = [node]
+        while todo:
+            a = todo.pop()
+            for e in self.arcs[a]:
+                b = self.head[e]
+                if b not in seen and res[e if forward else e ^ 1] > 0:
+                    seen.add(b)
+                    todo.append(b)
+        return seen
+
+    def cuts(self, res, u, v):
+        """The classes of every minimum u-v cut (Picard and Queyranne 1980),
+        branching on the free nodes in the order of their numbers."""
+        s, t = 2 * self.g.index(u) + 1, 2 * self.g.index(v)
+        stack = [(self._closure(res, s, True), self._closure(res, t, False))]
+        while stack:
+            side, other = stack.pop()
+            a = next((a for a in range(len(self.arcs)) if a not in side and a not in other), None)
+            if a is None:
+                yield frozenset(
+                    d
+                    for i, d in enumerate(self.g.divisors)
+                    if 2 * i in side and 2 * i + 1 not in side
+                )
+                continue
+            stack.append((self._closure(res, a, True, side), other))
+            stack.append((side, self._closure(res, a, False, other)))
+
+
+def arc_source_rule(g):
+    """kappa_class and min_cuts of a non-complete quotient, run on ArcNet."""
+    with mock.patch.object(connectivity, "_ClassNet", ArcNet):
+        return kappa_class(g).kappa, min_cuts(g)
+
+
 def kappa_all_pairs(g):
-    """Unpruned reference: the cheapest cut over every incomparable pair."""
+    """Unpruned reference: the cheapest cut over every incomparable pair,
+    on ArcNet."""
     if g.is_complete:
         return g.n - 1
-    net = _ClassNet(g)
+    net = ArcNet(g)
     best = None
     for u, v in g.non_adjacent_pairs():
         w, _ = net.flow(u, v, limit=best)
@@ -55,8 +214,9 @@ def kappa_all_pairs(g):
 
 
 def reference_flow(net, u, v):
-    """Reference: the plain recursive Dinic on an uncharged copy of ``cap``,
-    with a full BFS per phase, returning the max flow value and residuals."""
+    """Reference: the plain recursive Dinic on an uncharged copy of an
+    ArcNet's ``cap``, with a full BFS per phase, returning the max flow
+    value and residuals."""
     s, t = 2 * net.g.index(u) + 1, 2 * net.g.index(v)
     res = net.cap.copy()
 
@@ -101,17 +261,46 @@ def common_neighbours(g, u, v):
     return [c for c in g.divisors if g.adjacent(c, u) and g.adjacent(c, v)]
 
 
+def check_state(g, u, v, value, st):
+    """The residual state of an exact flow from u to v is a flow of that
+    value: within capacity, conserved at every class, and its masks agree
+    with r and amt."""
+    x, y = g.index(u), g.index(v)
+    charged = [i for i, c in enumerate(g.divisors) if c in common_neighbours(g, u, v)]
+    carried = [0 if i in charged else w - r for i, (w, r) in enumerate(zip(g.weights, st.r))]
+    assert all(0 <= r <= w for w, r in zip(g.weights, st.r))
+    assert all(st.r[i] == 0 for i in charged)
+    assert st.avail == sum(1 << i for i, r in enumerate(st.r) if r)
+    assert st.fbits == sum(1 << i for i, f in enumerate(carried) if f)
+    assert all(a > 0 and g.adjacent(g.divisors[i], g.divisors[j]) for (i, j), a in st.amt.items())
+    assert st.back == [sum(1 << i for i, k in st.amt if k == j) for j in range(len(g.divisors))]
+    assert st.fwd == [sum(1 << j for k, j in st.amt if k == i) for i in range(len(g.divisors))]
+    into = [sum(a for (_, j), a in st.amt.items() if j == i) for i in range(len(g.divisors))]
+    out = [sum(a for (k, _), a in st.amt.items() if k == i) for i in range(len(g.divisors))]
+    for i, f in enumerate(carried):
+        if i == x:
+            assert (into[i], f) == (0, 0) and out[i] == value - sum(g.weights[c] for c in charged)
+        elif i == y:
+            assert (out[i], f) == (0, 0) and into[i] == value - sum(g.weights[c] for c in charged)
+        else:
+            assert into[i] == f == out[i], (g.n, u, v, g.divisors[i])
+
+
 def check_flows_match_reference(g, pairs):
-    net = _ClassNet(g)
+    net, arc = _ClassNet(g), ArcNet(g)
     for u, v in pairs:
-        value, res = net.flow(u, v)
-        want, want_res = reference_flow(net, u, v)
-        assert value == want, (g.n, u, v)
-        assert set(net.cuts(res, u, v)) == set(net.cuts(want_res, u, v)), (g.n, u, v)
+        value, st = net.flow(u, v)
+        check_state(g, u, v, value, st)
+        arc_value, arc_res = arc.flow(u, v)
+        want, want_res = reference_flow(arc, u, v)
+        assert value == arc_value == want, (g.n, u, v)
+        cuts = set(net.cuts(st, u, v))
+        assert cuts == set(arc.cuts(arc_res, u, v)), (g.n, u, v)
+        assert cuts == set(arc.cuts(want_res, u, v)), (g.n, u, v)
         # a charged class arc is emptied and carries no flow
         for c in common_neighbours(g, u, v):
             i = g.index(c)
-            assert res[2 * i] == res[2 * i + 1] == 0, (g.n, u, v, c)
+            assert st.r[i] == 0 and not st.fbits >> i & 1, (g.n, u, v, c)
 
 
 def test_charged_flow_matches_reference_up_to_400():
@@ -127,18 +316,41 @@ def test_charged_flow_matches_reference_on_sampled_pairs(n):
     check_flows_match_reference(g, random.Random(n).sample(pairs, 40))
 
 
+@pytest.mark.parametrize("n", [720720, 6126120])
+def test_source_rule_matches_the_arc_net_at_large_tau(n):
+    # tau 240 and 384: the bitmask flows and cuts against the arc list's
+    g = build_quotient(n)
+    assert (kappa_class(g).kappa, min_cuts(g)) == arc_source_rule(g)
+
+
+@pytest.mark.parametrize(
+    "n, weights, u, v",
+    [
+        (690, (827, 25, 1435, 1578, 1704, 778, 1079, 1436, 1564, 1751, 115, 774, 926, 21, 757, 367), 6, 115),
+        (2418, (16, 49, 55, 82, 71, 94, 59, 87, 61, 15, 20, 50, 10, 19, 40, 69), 39, 62),
+        (2562, (1, 10, 3, 8, 8, 6, 8, 1, 10, 6, 2, 7, 1, 4, 5, 2), 14, 183),
+    ],
+)
+def test_flow_that_cancels_class_flow_matches_the_arc_net(n, weights, u, v):
+    # a rare case, found by search: the flow from u to v pushes along a
+    # reverse class arc, and that arc is the one the push empties
+    g = QuotientGraph(factorize(n), build_quotient(n).divisors, weights)
+    check_flows_match_reference(g, [(u, v)] + g.non_adjacent_pairs())
+
+
 @pytest.mark.parametrize("limit", [3, 6])
 def test_charge_reaching_the_limit_returns_before_any_augmentation(limit):
     # 4 and 6 in C_12 share the neighbours 1, 2 and 12, charged 1 + 1 + 4 = 6
     g = build_quotient(12)
     net = _ClassNet(g)
     assert common_neighbours(g, 4, 6) == [1, 2, 12]
-    value, res = net.flow(4, 6, limit=limit)
+    value, st = net.flow(4, 6, limit=limit)
     assert value == 6 >= limit
-    charged = net.cap.copy()
-    for d in (1, 2, 12):
-        charged[2 * g.index(d)] = 0
-    assert res == charged
+    # the charged classes have residual 0 and carry no flow, and no flow moved
+    charged = {g.index(d) for d in (1, 2, 12)}
+    assert st.r == [0 if i in charged else w for i, w in enumerate(g.weights)]
+    assert st.avail == net.full & ~sum(1 << i for i in charged)
+    assert (st.fbits, st.amt, st.back, st.fwd) == (0, {}, [0] * 6, [0] * 6)
 
 
 def min_cuts_by_subsets(g, u, v, weight):
@@ -193,11 +405,11 @@ def test_flows_on_one_network_keep_their_residuals():
     g = build_quotient(60)
     net = _ClassNet(g)
     weight, first = net.flow(4, 3)
-    kept = list(first)
+    kept = copy.deepcopy(first)
     net.flow(4, 5)
     assert first == kept
-    assert first != net.cap
-    assert net.cap == _ClassNet(g).cap
+    assert first.r != list(g.weights)
+    assert (net.comp, net.isolation) == (_ClassNet(g).comp, _ClassNet(g).isolation)
     assert set(net.cuts(first, 4, 3)) == min_cuts_by_subsets(g, 4, 3, weight)
 
 
@@ -343,7 +555,7 @@ def test_flow_and_cuts_reject_non_divisors():
     with pytest.raises(ValueError, match="^7 does not divide 12$"):
         net.flow(7, 3)
     with pytest.raises(ValueError, match="^7 does not divide 12$"):
-        next(net.cuts(net.cap, 3, 7))
+        next(net.cuts(net.flow(3, 4)[1], 3, 7))
 
 
 def test_source_rule_matches_all_pairs_up_to_600():

@@ -15,6 +15,7 @@ import pgk
 from pgk import cli
 from pgk import (
     Factorization,
+    QuotientGraph,
     build_quotient,
     build_Z,
     components_without,
@@ -25,7 +26,9 @@ from pgk import (
     size_Z_formula,
     verify_witness,
 )
+from pgk.connectivity import min_cuts
 
+from test_connectivity import arc_source_rule
 from test_formulas import check_against_printed
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -91,6 +94,23 @@ def test_min_cut_between_disconnects(n, data):
     assert weight == sum(g.weight(d) for d in cut)
     comps = components_without(g, cut)
     assert next(c for c in comps if u in c) != next(c for c in comps if v in c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=2000).filter(lambda n: factorize(n).r >= 2), st.data())
+def test_hand_weights_match_the_arc_net(n, data):
+    # random positive weights, small ones for ties or up to 2n so that they
+    # sum far above n: the uncapacitated adjacency arcs must still never be
+    # cut, and the source rule, flows and cuts agree with the arc list's
+    g = build_quotient(n)
+    top = data.draw(st.sampled_from((4, 2 * n)))
+    weights = st.integers(min_value=1, max_value=top)
+    hand = QuotientGraph(
+        g.f,
+        g.divisors,
+        tuple(data.draw(st.lists(weights, min_size=len(g.divisors), max_size=len(g.divisors)))),
+    )
+    assert (kappa_class(hand).kappa, min_cuts(hand)) == arc_source_rule(hand)
 
 
 @settings(max_examples=200, deadline=None)
