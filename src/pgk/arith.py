@@ -92,8 +92,6 @@ class Factorization:
 @lru_cache(maxsize=None)
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by deterministic trial division."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
     remaining = n
     factors: list[tuple[int, int]] = []
     p = 2

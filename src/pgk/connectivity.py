@@ -87,7 +87,8 @@ class _ClassNet:
     ``comp[i]`` lists both the entries that exit(i) leads to and the exits
     that lead to entry(i). Each flow keeps its own residual state, so the
     states of several flows can be kept side by side. Callers name divisors
-    only; the indices stay inside this class.
+    only; the indices stay inside this class. The quotient's invariants hold:
+    divisors ascend from 1 to n, and every class arc has positive capacity.
 
     Uncapacitated adjacency arcs are exact for any weights, hand weights
     summing above n included: for non-adjacent u and v the class arcs of
@@ -129,8 +130,6 @@ class _ClassNet:
                     near[j] += ws[i]
         self.comp = comp
         self.full = (1 << len(ds)) - 1
-        # the classes whose arc has capacity: a hand weight may be 0
-        self.positive = sum(1 << i for i, w in enumerate(ws) if w > 0)
         self.isolation = min(near[1:-1], default=sum(ws))
 
     def flow(self, u: int, v: int, limit: int | None = None) -> tuple[int, _Flow]:
@@ -181,7 +180,7 @@ class _ClassNet:
             value += r[i]
             r[i] = 0
             m ^= low
-        avail = self.positive & ~charged
+        avail = self.full & ~charged
         fbits = 0
         amt: dict[tuple[int, int], int] = {}
         back = [0] * len(ws)

@@ -124,8 +124,6 @@ def kappa_element_oracle(n: int) -> KappaResult:
 
     Raises ValueError unless 1 <= n <= ``MAX_ELEMENT_N``.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
     if n > MAX_ELEMENT_N:
         raise ValueError(f"n={n} exceeds the element-oracle ceiling {MAX_ELEMENT_N}")
     kappa = _twin_class_kappa(element_adjacency(n))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from .arith import Factorization, _is_prime
+from .arith import Factorization, alpha_beta
 
 
 PRIME_POWER = "prime-power"
@@ -86,11 +86,7 @@ def _size_Z(f: Factorization, c: CaseTag, k: int) -> int:
 
 def size_Z_formula(f: Factorization, k: int) -> int:
     """|Z(r, k)| by the closed form above; always the weight of build_Z(g, k), g n's quotient."""
-    if f.r < 2:
-        raise ValueError("Z(r, k) requires at least two distinct primes")
-    e_r = f.exponents[-1]
-    if not 0 <= k <= e_r - 1:
-        raise ValueError(f"k must satisfy 0 <= k <= {e_r - 1}, got {k}")
+    alpha_beta(f, k)  # raises unless r >= 2 and 0 <= k <= e_r - 1
     return _size_Z(f, classify(f), k)
 
 
@@ -136,12 +132,6 @@ def lemma4_slack(primes: Sequence[int]) -> int:
     """
     if not primes:
         raise ValueError("at least one prime required")
-    previous = 1
-    for q in primes:
-        if q <= previous:
-            raise ValueError("primes must be strictly increasing and distinct")
-        if not _is_prime(q):
-            raise ValueError(f"{q} is not prime")
-        previous = q
     m = prod(primes)
+    Factorization(m, tuple((q, 1) for q in primes))  # raises unless ascending primes
     return prod(q - 1 for q in primes) - m + sum(m // q for q in primes)

@@ -11,6 +11,8 @@ quotient edges. Minimum vertex cuts respect this structure -- a smallest
 disconnecting set always consists of whole order classes -- which is what
 makes connectivity questions tractable at class level. build_quotient factors
 n once; the quotient keeps that Factorization as ``f`` beside the weights phi(d).
+Every QuotientGraph, a hand-built one with other positive weights included,
+checks when it is built that it has this shape.
 
 QuotientGraph is immutable after construction and safe to share across
 threads.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from typing import Iterable
 
 from .arith import Factorization, factorize
@@ -28,9 +30,27 @@ from .arith import Factorization, factorize
 
 @dataclass(frozen=True)
 class QuotientGraph:
+    """One class per divisor of n, weighed phi(d) by build_quotient.
+
+    Checked when built, else ValueError: ``divisors`` is every divisor of
+    ``f.n`` in strictly ascending order, and ``weights`` one positive int per
+    divisor. The class route relies on this unchecked: ``_source_flows`` and
+    ``_ClassNet.isolation`` read 1 first and n last, and the flows need
+    positive weights.
+    """
+
     f: Factorization
     divisors: tuple[int, ...]
     weights: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        n, ds, ws = self.f.n, self.divisors, self.weights
+        tau = prod(e + 1 for _, e in self.f.factors)
+        # tau distinct positive divisors of n are all of them
+        if len(ds) != tau or list(ds) != sorted(set(ds)) or ds[0] < 1 or any(map(n.__mod__, ds)):
+            raise ValueError(f"divisors must be every divisor of {n}, in ascending order")
+        if len(ws) != tau or set(map(type, ws)) != {int} or min(ws) < 1:
+            raise ValueError(f"weights must be {tau} positive ints, one per divisor")
 
     @property
     def n(self) -> int:
@@ -41,9 +61,7 @@ class QuotientGraph:
         return {d: i for i, d in enumerate(self.divisors)}
 
     def weight(self, d: int) -> int:
-        if d not in self._index:
-            raise ValueError(f"{d} does not divide {self.n}")
-        return self.weights[self._index[d]]
+        return self.weights[self.index(d)]
 
     def index(self, d: int) -> int:
         """Position of divisor d in the ascending divisor list."""
@@ -54,15 +72,14 @@ class QuotientGraph:
 
     def adjacent(self, d: int, e: int) -> bool:
         """True iff the classes of d and e are joined: d != e and one divides the other."""
-        if d not in self._index or e not in self._index:
-            raise ValueError(f"{d} and {e} must both divide {self.n}")
+        self.index(d)
+        self.index(e)
         return d != e and (e % d == 0 or d % e == 0)
 
-    @cached_property
+    @property
     def is_complete(self) -> bool:
         """Complete iff the divisors form a chain, i.e. n is 1 or a prime power."""
-        ds = self.divisors
-        return all(ds[i + 1] % ds[i] == 0 for i in range(len(ds) - 1))
+        return self.f.r <= 1
 
     def non_adjacent_pairs(self) -> list[tuple[int, int]]:
         """All incomparable divisor pairs (u, v) with u < v, lexicographic."""

@@ -58,11 +58,8 @@ class ClassSeparator:
 def build_Z(g: QuotientGraph, k: int) -> ClassSeparator:
     """The layer separator Z(r, k) as a divisor-class set."""
     f = g.f
-    if f.r < 2:
-        raise ValueError("Z(r, k) requires at least two distinct primes")
+    alpha_beta(f, k)  # raises unless r >= 2 and 0 <= k <= e_r - 1
     e_r = f.exponents[-1]
-    if not 0 <= k <= e_r - 1:
-        raise ValueError(f"k must satisfy 0 <= k <= {e_r - 1}, got {k}")
     classes = {f.n}
     for j in range(k + 1, e_r):
         classes.add(alpha_beta(f, j))

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import pgk.arith
 from pgk import (
     Factorization, QuotientGraph, SeparationWitness, build_quotient, kappa_class, verify_witness,
 )
@@ -281,12 +280,11 @@ ONE_N_COMMANDS = [
 
 
 @pytest.mark.parametrize("argv", ONE_N_COMMANDS)
-def test_each_command_factors_n_once(capsys, argv):
+def test_each_command_factors_n_once(capsys, factorize_calls, argv):
     # every divisor and phi value comes from n's one Factorization, so the
-    # only trial division is that of n itself
-    pgk.arith.factorize.cache_clear()
+    # only factorize call is that of n itself, memo hit or not
     assert run(capsys, *argv.split())[0] == 0
-    assert pgk.arith.factorize.cache_info().misses == 1
+    assert len(factorize_calls) == 1
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ from math import prod
 
 import pytest
 
-import pgk.arith
 from pgk import (
     CASE_I,
     CASE_II_BOUND,
@@ -214,18 +213,17 @@ def test_size_Z_formula_rejects_bad_input():
             size_Z_formula(factorize(36), k)
 
 
-def test_closed_forms_factor_nothing_again():
+def test_closed_forms_factor_nothing_again(factorize_calls):
     # a Factorization in hand carries every phi and divisor the forms need,
-    # so none of them runs a trial division, here of n or of P
+    # so none of them calls factorize, here of n or of P
     p = 499999999979
     f = Factorization(2 * p, ((2, 1), (p, 1)))
-    pgk.arith.factorize.cache_clear()
     assert classify(f).tag == CASE_III
     assert kappa_formula(f) == p == size_Z_formula(f, 0)
     assert upper_bound_ii(f) is None
     g = QuotientGraph(f, *zip(*f.divisor_classes()))  # by hand: build_quotient factors n
     assert build_Z(g, 0).classes == {1, 2 * p}
-    assert pgk.arith.factorize.cache_info().misses == 0
+    assert factorize_calls == []
 
 
 @pytest.mark.parametrize(

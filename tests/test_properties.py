@@ -1,8 +1,8 @@
 """Property tests over random n, and lints on src/pgk: no asserts (in demos/
 either), no environment variables, an element oracle independent of the class
 route, a class route that imports only the quotient and no numeric library,
-n factored in one place per command, and an ``__all__`` that matches the
-package."""
+n factored in one place per command, each input rule checked in one place,
+and an ``__all__`` that matches the package."""
 
 import ast
 from collections import Counter
@@ -205,6 +205,45 @@ def test_each_command_factors_n_in_one_place():
     assert len(commands) == len(cli.COMMANDS) + 1
     for name in commands:
         assert calls[name]["build_quotient"] <= 1, name
+
+
+def nodes_by_module(found):
+    """For each module of src/pgk with a node for which found(node) holds,
+    the number of such nodes."""
+    return +Counter(
+        {
+            path.name: sum(map(found, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+            for path in SRC.glob("*.py")
+        }
+    )
+
+
+def refers_to_is_prime(node):
+    return "_is_prime" in (getattr(node, k, None) for k in ("id", "attr", "name"))
+
+
+def raising(text):
+    """A test for raise statements whose message contains text."""
+
+    def found(node):
+        return isinstance(node, ast.Raise) and any(
+            isinstance(c, ast.Constant) and isinstance(c.value, str) and text in c.value
+            for c in ast.walk(node)
+        )
+
+    return found
+
+
+def test_each_input_rule_is_checked_in_one_place():
+    # two checks of one rule can drift apart: formulas and separators build a
+    # Factorization or call alpha_beta and let it raise, and n >= 1 is
+    # checked by Factorization and by the oracle, which may not import it
+    assert set(nodes_by_module(refers_to_is_prime)) == {"arith.py"}
+    assert nodes_by_module(raising("k must satisfy")) == {"arith.py": 1}
+    assert nodes_by_module(raising("n must be a positive integer")) == {
+        "arith.py": 1,
+        "element_oracle.py": 1,
+    }
 
 
 def test_element_oracle_imports_nothing_of_the_class_route():

@@ -40,6 +40,14 @@ def test_quotient_12_non_adjacent_pairs():
     assert not g.is_complete
 
 
+def test_is_complete_is_the_chain_scan():
+    # reference: the quotient is complete iff its divisors form a chain
+    for n in range(1, 2001):
+        g = build_quotient(n)
+        ds = g.divisors
+        assert g.is_complete == all(ds[i + 1] % ds[i] == 0 for i in range(len(ds) - 1)), n
+
+
 def test_quotient_weights_are_the_totients_of_the_divisors():
     # the one-pass build against the divisor list and a totient per divisor
     for n in range(1, 5001):
@@ -55,8 +63,35 @@ def test_quotient_rejects_zero():
 
 def test_adjacent_rejects_non_divisors():
     g = build_quotient(12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^5 does not divide 12$"):
         g.adjacent(5, 6)
+
+
+@pytest.mark.parametrize(
+    "divisors, weights, message",
+    [
+        pytest.param((12, 6, 4, 3, 2, 1), (4, 2, 2, 2, 1, 1), "divisors", id="reversed"),
+        pytest.param((1, 2, 3, 4, 6), (1, 1, 2, 2, 2), "divisors", id="12-left-out"),
+        pytest.param((1, 2, 3, 5, 6, 12), (1, 1, 2, 4, 2, 4), "divisors", id="5-for-4"),
+        pytest.param((1, 2, 2, 4, 6, 12), (1, 1, 1, 2, 2, 4), "divisors", id="2-repeated"),
+        pytest.param((0, 1, 2, 3, 4, 6), (1, 1, 1, 2, 2, 2), "divisors", id="0-for-12"),
+        pytest.param((1, 2, 3, 4, 6, 12), (1, 1, 2, 2, 2), "weights", id="one-weight-short"),
+        pytest.param((1, 2, 3, 4, 6, 12), (1, 1, 2, 0, 2, 4), "weights", id="weight-0"),
+        pytest.param((1, 2, 3, 4, 6, 12), (1, 1, 2, -5, 2, 4), "weights", id="weight-minus-5"),
+        pytest.param((1, 2, 3, 4, 6, 12), (1, 1, 2, 1.5, 2, 4), "weights", id="weight-1.5"),
+    ],
+)
+def test_malformed_quotients_are_rejected_when_built(divisors, weights, message):
+    """A quotient is every divisor of n, ascending, with one positive int
+    weight each. Before the quotient checked this itself, kappa_class
+    returned 0 for the reversed quotient of 12 and 3 for the one without 12,
+    where kappa(P(C_12)) = 6."""
+    expected = {
+        "divisors": "^divisors must be every divisor of 12, in ascending order$",
+        "weights": "^weights must be 6 positive ints, one per divisor$",
+    }
+    with pytest.raises(ValueError, match=expected[message]):
+        QuotientGraph(factorize(12), divisors, weights)
 
 
 @pytest.mark.parametrize("lookup", ["index", "weight"])
