@@ -14,7 +14,9 @@ weighs N(d), the classes comparable to d, for each d other than 1 and n;
 removing N(d) cuts d off, so the lightest of them seeds the running minimum
 and even the first flow stops one above it. A flow first charges the
 classes comparable to both endpoints, which lie in every separator, then
-runs an iterative Dinic on the rest; ``_ClassNet.flow`` proves the charge.
+saturates the paths u, a, b, v through two other classes greedily,
+largest divisors first, and runs an iterative Dinic from that flow on the
+rest; ``_ClassNet.flow`` proves the charge and the warm start.
 The flows are plain Python and borrow nothing from the oracle's solver.
 Complete quotients (n = 1 or a prime power) have no non-adjacent pair and
 kappa = n - 1 by convention, kappa(P(C_1)) = 0 included.
@@ -159,13 +161,37 @@ class _ClassNet:
         reached from exit(u) and exit(c) still reaches entry(v), and
         ``cuts`` reports c in every cut.
 
+        Warm start: next, for each a in ``comp[x] & avail`` and then each b
+        in ``comp[a] & comp[y] & avail``, push min(r[a], r[b]) along the
+        path x, a, b, y, stopping as soon as the value reaches ``limit``.
+        Both loops go from the highest bit down: the largest divisors, which
+        under phi weights are mostly the heaviest classes, so a few pushes
+        saturate most of the value. An uncharged a is not comparable to y,
+        nor an uncharged b to x, so no a is a b and a push takes nothing
+        from a later a. Proof that it changes no result: each push is an
+        augmenting path of the residual network, its three adjacency arcs
+        having no capacity and its class arcs a and b at least the push, so
+        the state stays a feasible flow of the value. Dinic from any
+        feasible flow ends at a max flow (the augmenting-path theorem: a
+        flow is maximum iff no residual path joins source to sink), so an
+        exact value is unchanged, and ``cuts``, which reads the residual
+        closures of any max flow, lists the same minimum cuts. A stop at
+        ``limit`` returns a feasible flow's value, which is at most the max
+        flow, so the max flow is still >= limit. The pushes run after the
+        charge and only while the value is below ``limit``, so a charge that
+        reaches ``limit`` still returns before any search.
+
         The rest is Dinic's algorithm (1970). The BFS builds the alternating
         layers as masks, the next entries being the ``comp`` of the exit
         frontier and the next exits the ``back`` of the entry frontier, plus
         the class arcs, and stops at the sink's layer, which keeps only the
-        sink. The blocking flow is a DFS that steps to the lowest set bit of
-        a node's residual successors in the next layer and clears a dead-end
-        node from its layer's mask, so no node is tried twice in a phase.
+        sink. The class arcs count both ways: without the reverse ones,
+        exit(i) -> entry(i) for i in ``fbits``, a flow can stop below its
+        max, as one on a hand-weighted quotient of 210 does (at 233 of 236;
+        the tests pin it). The blocking flow is a DFS that steps to the
+        lowest set bit of a node's residual successors in the next layer and
+        clears a dead-end node from its layer's mask, so no node is tried
+        twice in a phase.
         """
         g = self.g
         comp, ws = self.comp, g.weights
@@ -186,6 +212,46 @@ class _ClassNet:
         back = [0] * len(ws)
         fwd = [0] * len(ws)
         source, sink = 1 << x, 1 << y
+        # warm start: saturate the paths x, a, b, y, largest a and b first
+        into_y = comp[y]
+        heads = comp[x] & avail
+        while heads and (limit is None or value < limit):
+            a = heads.bit_length() - 1
+            heads ^= 1 << a
+            tails = comp[a] & into_y & avail
+            left = r[a]
+            while tails and left:
+                b = tails.bit_length() - 1
+                tails ^= 1 << b
+                pushed = min(left, r[b])
+                left -= pushed
+                r[b] -= pushed
+                if not r[b]:
+                    avail ^= 1 << b
+                fbits |= 1 << b
+                amt[a, b] = pushed
+                fwd[a] |= 1 << b
+                back[b] |= 1 << a
+                value += pushed
+                if limit is not None and value >= limit:
+                    break
+            if left != r[a]:
+                amt[x, a] = r[a] - left
+                r[a] = left
+                if not left:
+                    avail ^= 1 << a
+                fbits |= 1 << a
+                fwd[x] |= 1 << a
+                back[a] = source
+        # each b sends on to y all that its class arc carries
+        m = fbits & into_y
+        back[y] = m
+        while m:
+            low = m & -m
+            b = low.bit_length() - 1
+            amt[b, y] = ws[b] - r[b]
+            fwd[b] = sink
+            m ^= low
         while limit is None or value < limit:
             # layers[k] is a mask of exits for even k and of entries for odd k
             layers = [source]

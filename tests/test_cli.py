@@ -66,6 +66,16 @@ def test_kappa_method_both(capsys):
     assert data["kappa_element"] == 6
 
 
+def test_kappa_at_the_largest_tau_below_the_limit(capsys):
+    # tau(963761198400) = 6720, the most of any n <= 10**12, and no closed
+    # form covers it (r = 9, 2 phi(P) < P): the class cut alone answers, in
+    # seconds, and its kappa is the lightest N(d), as Conjecture A predicts
+    code, out, _ = run(capsys, "kappa", "963761198400", "--json")
+    data = json.loads(out)
+    assert (code, data["case"], data["kappa_computed"]) == (0, "computed-only", 175392475200)
+    assert data["bound_ii"] > data["kappa_computed"]
+
+
 def test_kappa_element_runs_above_600(capsys):
     # 601 is prime, so the graph is complete and cheap
     code, out, _ = run(capsys, "kappa", "601", "--method", "element", "--json")

@@ -262,9 +262,9 @@ def common_neighbours(g, u, v):
 
 
 def check_state(g, u, v, value, st):
-    """The residual state of an exact flow from u to v is a flow of that
-    value: within capacity, conserved at every class, and its masks agree
-    with r and amt."""
+    """The residual state of a flow from u to v, exact or stopped at a
+    limit, is a flow of that value: within capacity, conserved at every
+    class, and its masks agree with r and amt."""
     x, y = g.index(u), g.index(v)
     charged = [i for i, c in enumerate(g.divisors) if c in common_neighbours(g, u, v)]
     carried = [0 if i in charged else w - r for i, (w, r) in enumerate(zip(g.weights, st.r))]
@@ -301,11 +301,35 @@ def check_flows_match_reference(g, pairs):
         for c in common_neighbours(g, u, v):
             i = g.index(c)
             assert st.r[i] == 0 and not st.fbits >> i & 1, (g.n, u, v, c)
+        # with a limit: the charge alone, a value between it and the max
+        # flow, the max flow, and one above it, which runs to the end
+        charge = sum(g.weight(c) for c in common_neighbours(g, u, v))
+        for limit in (charge, (charge + want) // 2, want, want + 1):
+            value, st = net.flow(u, v, limit)
+            check_state(g, u, v, value, st)
+            if limit > want:
+                assert value == want and set(net.cuts(st, u, v)) == cuts, (g.n, u, v)
+            else:
+                assert limit <= value <= want, (g.n, u, v, limit)
+
+
+def hand_weighted(n, rng):
+    # random positive weights, small ones for ties or up to 2n
+    g = build_quotient(n)
+    top = rng.choice((4, 2 * n))
+    return QuotientGraph(g.f, g.divisors, tuple(rng.randint(1, top) for _ in g.divisors))
 
 
 def test_charged_flow_matches_reference_up_to_400():
     for n in range(2, 401):
         g = build_quotient(n)
+        check_flows_match_reference(g, g.non_adjacent_pairs())
+
+
+def test_hand_weighted_flow_matches_reference_up_to_400():
+    rng = random.Random(400)
+    for n in range(2, 401):
+        g = hand_weighted(n, rng)
         check_flows_match_reference(g, g.non_adjacent_pairs())
 
 
@@ -336,6 +360,15 @@ def test_flow_that_cancels_class_flow_matches_the_arc_net(n, weights, u, v):
     # reverse class arc, and that arc is the one the push empties
     g = QuotientGraph(factorize(n), build_quotient(n).divisors, weights)
     check_flows_match_reference(g, [(u, v)] + g.non_adjacent_pairs())
+
+
+def test_flow_needs_the_reverse_class_arcs():
+    # found by search: a BFS and DFS that skip the reverse class arcs, the
+    # fbits terms, stop this flow at 233, below the max flow 236
+    weights = (67, 3, 14, 16, 82, 8, 52, 99, 38, 71, 94, 20, 65, 74, 96, 8)
+    g = QuotientGraph(factorize(210), build_quotient(210).divisors, weights)
+    assert reference_flow(ArcNet(g), 10, 21)[0] == 236
+    check_flows_match_reference(g, [(10, 21)])
 
 
 @pytest.mark.parametrize("limit", [3, 6])
@@ -548,6 +581,13 @@ def test_seed_is_the_weight_of_a_separator():
     assert case_ii == 899
     hand = QuotientGraph(factorize(12), (1, 2, 3, 4, 6, 12), (5, 4, 4, 3, 4, 3))
     assert check_seed_certificate(hand) == 12
+
+
+def test_kappa_class_at_tau_2304_is_the_seed():
+    # no closed form covers 6983776800 (r = 8, 2 phi(P) < P); its kappa is
+    # the lightest N(d), as Conjecture A predicts
+    g = build_quotient(6983776800)
+    assert kappa_class(g).kappa == _ClassNet(g).isolation == 1352872800
 
 
 def test_flow_and_cuts_reject_non_divisors():
