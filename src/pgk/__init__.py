@@ -27,9 +27,7 @@ from .formulas import (
     R3_EXACT,
     CaseTag,
     classify,
-    corollary_p1_ge_r,
     kappa_formula,
-    lemma4_slack,
     size_Z_formula,
     upper_bound_ii,
 )
@@ -75,8 +73,6 @@ __all__ = [
     "kappa_formula",
     "size_Z_formula",
     "upper_bound_ii",
-    "corollary_p1_ge_r",
-    "lemma4_slack",
     "PRIME_POWER",
     "CASE_I",
     "CASE_II_BOUND",

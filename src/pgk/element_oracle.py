@@ -8,30 +8,30 @@ integral power of the other, with the powers of y found by literally
 enumerating k*y mod n for k = 0..n-1. Connectivity is then the minimum over
 every non-adjacent pair of twin (closed-neighbourhood) classes, read off the
 adjacency matrix, of a max flow on the node-split network of those classes
-(class size on each class's own arc). No pair is pruned: all the pair flows
-run as one call of scipy's compiled solver on the disjoint union of one
-network copy per pair. ``_twin_class_kappa`` proves why the twin classes
-suffice and why the union gives every pair's value. The test suite checks
-the oracle against one flow per pair on the class network, against the loop
-over every vertex pair on the full n-vertex network, and against exhaustive
-removal of every vertex subset at small n.
+(class size on each class's own arc). No pair is pruned: each pair gets its
+own exact max flow, by shortest augmenting paths (``maximum_flow``), with no
+limit and no warm start. ``_twin_class_kappa`` proves why the twin classes
+suffice and why each flow is exact. The test suite checks each pair value
+against scipy's solver on the same class network, and the oracle against
+the loop over every vertex pair on the full n-vertex network and against
+exhaustive removal of every vertex subset at small n.
 
 The oracle's one size limit is ``MAX_ELEMENT_N``; nothing lifts it. On a
-2-CPU x86 machine the slowest n measured below it, 4620, takes about 0.5 s.
+2-CPU x86 machine the slowest n measured below it, 4620, takes about 0.9 s.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .connectivity import KappaResult
 
-#: The only limit on n. Near it the dense n x n boolean matrices of the
-#: adjacency build dominate time and memory, and the union network of the
-#: twin-class pairs adds up to about 30 MB; the peak is about 120 MB, at
-#: n = 4680 (48 divisors).
+#: The only limit on n. The dense n x n boolean matrices of the adjacency
+#: build set the peak memory, and the pair flows, one per non-adjacent pair
+#: of twin classes, most of the time where n has many divisors. On a 2-CPU
+#: x86 machine: n = 1200 takes 0.07 s and 31 MB; 4620 and 4680 (47 twin
+#: classes) 0.85-1.0 s, about 0.5-0.6 s of it flows, and 70 MB; 5000 (two
+#: primes) 0.35 s and 76 MB.
 MAX_ELEMENT_N = 5000
 
 
@@ -53,6 +53,44 @@ def element_adjacency(n: int) -> np.ndarray:
     return adj
 
 
+def maximum_flow(caps: list[list[int]], arcs: list[list[int]], s: int, t: int) -> int:
+    """Value of a maximum s-t flow by shortest augmenting paths (Edmonds and
+    Karp, J. ACM 1972).
+
+    ``caps[a][b]`` is the capacity of the arc a -> b, and ``arcs[a]`` lists
+    every b with an arc a -> b or b -> a, the nodes a residual path can step
+    to from a. The residual capacities start as a copy of ``caps``; each
+    round a breadth-first search finds a shortest s-t path with residual
+    capacity left and pushes its bottleneck along it, until none is left.
+    """
+    res = [row[:] for row in caps]
+    value = 0
+    while True:
+        parent = [-1] * len(arcs)
+        parent[s] = s
+        queue = [s]
+        for a in queue:
+            row = res[a]
+            for b in arcs[a]:
+                if row[b] and parent[b] < 0:
+                    parent[b] = a
+                    queue.append(b)
+            if parent[t] >= 0:
+                break
+        else:
+            return value
+        path = []
+        b = t
+        while b != s:
+            path.append((parent[b], b))
+            b = parent[b]
+        push = min(res[a][b] for a, b in path)
+        for a, b in path:
+            res[a][b] -= push
+            res[b][a] += push
+        value += push
+
+
 def _twin_class_kappa(adj: np.ndarray) -> int:
     """Vertex connectivity of the graph with boolean adjacency ``adj``.
 
@@ -69,14 +107,13 @@ def _twin_class_kappa(adj: np.ndarray) -> int:
     between two non-adjacent classes of this network, and every class cut
     is a vertex separator of the same weight.
 
-    All p pair flows run as one max flow on the disjoint union of p copies
-    of the class network, copy c for pair (u_c, v_c), with a super source s
-    feeding exit(u_c) and a super sink t fed by entry(v_c), both by arcs of
-    capacity n. Union lemma: each copy's max flow is at most n - 2 < n, the
-    weight of all classes but u_c and v_c, so the super arcs never bind; the
-    union's max flow value is therefore the sum of the copies' max flows,
-    and a flow reaching that sum must be a max flow on every copy. Its flow
-    on s -> exit(u_c) is then copy c's pair value.
+    Each pair (u, v) gets its own ``maximum_flow`` from exit(u) to entry(v),
+    on a fresh residual copy of one template network. The flow is exact:
+    Edmonds-Karp stops only when no augmenting path is left, and then the
+    flow value equals the capacity of a minimum cut (Ford and Fulkerson).
+    The arcs of all classes but u and v form a cut of weight at most
+    n - 2 < n, so a minimum cut holds no adjacency arc: it is a set of class
+    arcs, a vertex separator of u from v of the same weight.
     """
     n = adj.shape[0]
     # twins have equal packed closed rows, so set each row's own bit after
@@ -87,35 +124,20 @@ def _twin_class_kappa(adj: np.ndarray) -> int:
     members: dict[bytes, list[int]] = {}
     for x, row in enumerate(closed):
         members.setdefault(row.tobytes(), []).append(x)
-    first = np.array([group[0] for group in members.values()])
-    sizes = np.array([len(group) for group in members.values()])
+    first = [group[0] for group in members.values()]
     k = len(first)
     linked = adj[np.ix_(first, first)]
     us, vs = np.nonzero(np.triu(~linked, 1))
-    p = len(us)
-    if p == 0:
+    if len(us) == 0:
         return n - 1
-    xs, ys = np.nonzero(linked)
-    # in one copy the entry node of class i is i, its exit node k + i;
-    # copy c is offset by 2kc, and s, t come after the last copy
-    tails = np.concatenate([np.arange(k), xs + k])
-    heads = np.concatenate([np.arange(k) + k, ys])
-    caps = np.concatenate([sizes, np.full(len(xs), n)])
-    off = 2 * k * np.arange(p)
-    s, t = 2 * k * p, 2 * k * p + 1
-    network = csr_matrix(
-        (
-            np.concatenate([np.tile(caps, p), np.full(2 * p, n)]),
-            (
-                np.concatenate([(off[:, None] + tails).ravel(), np.full(p, s), off + vs]),
-                np.concatenate([(off[:, None] + heads).ravel(), off + k + us, np.full(p, t)]),
-            ),
-        ),
-        shape=(s + 2, s + 2),
-        dtype=np.int32,
-    )
-    flow = maximum_flow(network, s, t).flow
-    return int(flow[s].toarray()[0, off + k + us].min())
+    # the entry node of class i is i, its exit node k + i
+    caps = [[0] * (2 * k) for _ in range(2 * k)]
+    for i, group in enumerate(members.values()):
+        caps[i][k + i] = len(group)
+    for i, j in np.argwhere(linked).tolist():
+        caps[k + i][j] = n
+    arcs = [[b for b in range(2 * k) if caps[a][b] or caps[b][a]] for a in range(2 * k)]
+    return min(maximum_flow(caps, arcs, k + u, v) for u, v in zip(us.tolist(), vs.tolist()))
 
 
 def kappa_element_oracle(n: int) -> KappaResult:

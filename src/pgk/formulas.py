@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Sequence
 
 from .arith import Factorization, alpha_beta
 
@@ -112,26 +111,3 @@ def upper_bound_ii(f: Factorization) -> int | None:
     """
     c = classify(f)
     return _size_Z(f, c, 0) if 2 * c.phiP < c.P else None
-
-
-def corollary_p1_ge_r(f: Factorization) -> int | None:
-    """Exact kappa when the smallest prime is at least the number of primes.
-
-    p_1 >= r forces 2*phi(P) >= P (with equality only for r = 2, p_1 = 2), so
-    kappa_formula gives the connectivity. Returns None when p_1 < r or r < 2.
-    """
-    if f.r < 2 or f.primes[0] < f.r:
-        return None
-    return kappa_formula(f)
-
-
-def lemma4_slack(primes: Sequence[int]) -> int:
-    """phi(q_1...q_t) - q_1...q_t + sum_k q_1...q_t / q_k for distinct primes.
-
-    Always >= 0, and zero exactly when t = 1.
-    """
-    if not primes:
-        raise ValueError("at least one prime required")
-    m = prod(primes)
-    Factorization(m, tuple((q, 1) for q in primes))  # raises unless ascending primes
-    return prod(q - 1 for q in primes) - m + sum(m // q for q in primes)

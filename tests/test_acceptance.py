@@ -22,7 +22,6 @@ from pgk import (
     kappa_class,
     kappa_element_oracle,
     kappa_formula,
-    lemma4_slack,
     optimal_Z,
     size_Z_formula,
     totient,
@@ -31,7 +30,7 @@ from pgk import (
 )
 from pgk.connectivity import _ClassNet
 
-from test_formulas import printed_bound_ii, printed_case_i, printed_r3
+from test_formulas import lemma4_slack, printed_bound_ii, printed_case_i, printed_r3
 
 MAX_N = 5000
 ORACLE_MAX_N = 1500

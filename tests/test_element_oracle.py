@@ -6,9 +6,9 @@ checked not to disconnect the graph, and some subset of exactly that size is
 found that does. Its kappa is additionally compared against two pair loops
 on the per-element node-split network, kept here as references: one over
 every vertex pair, which does not rely on the twin lemma, and one over every
-pair of twin-class representatives. The pair values of its one max flow on
-the disjoint union of class networks are compared against a third
-reference, one flow per pair on a single twin-class network.
+pair of twin-class representatives. The values of its own pair flows are
+compared against a third, external flow implementation: scipy's solver, one
+flow per pair on the same twin-class network.
 """
 
 from itertools import combinations
@@ -18,7 +18,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from pgk import element_adjacency, kappa_element_oracle
+from pgk import element_adjacency, element_oracle, kappa_element_oracle
 from pgk.element_oracle import MAX_ELEMENT_N, _twin_class_kappa
 
 
@@ -61,7 +61,7 @@ def kappa_pair_loop(adj: np.ndarray, twin_reduction: bool = True) -> int:
 
 
 def twin_pair_flows(adj: np.ndarray) -> list[int]:
-    """The reference for the oracle's one max flow: a separate flow for every
+    """The reference for the oracle's pair flows: scipy's max flow for every
     non-adjacent pair of twin classes on the 2k-node class network (entry
     node of class i is i, its exit node k + i), as sorted pair values."""
     n = adj.shape[0]
@@ -174,70 +174,89 @@ def test_twin_class_network_on_graphs_with_twins():
 
 @pytest.fixture
 def flow_calls(monkeypatch):
-    """The (arguments, result) of every ``maximum_flow`` call the oracle makes."""
+    """The (arguments, value) of every ``maximum_flow`` call the oracle makes;
+    each call must leave the capacities it was given as it found them."""
     calls = []
+    flow = element_oracle.maximum_flow
 
-    def counted(*args, **kwargs):
-        result = maximum_flow(*args, **kwargs)
-        calls.append((args, result))
-        return result
+    def counted(*args):
+        template = [row[:] for row in args[0]]
+        value = flow(*args)
+        assert args[0] == template, "maximum_flow changed its template"
+        calls.append((args, value))
+        return value
 
     monkeypatch.setattr("pgk.element_oracle.maximum_flow", counted)
     return calls
 
 
-def super_source_flows(calls) -> list[int]:
-    """The sorted flows on the super source's arcs of the oracle's one max
-    flow; none when it ran no flow."""
-    assert len(calls) <= 1
-    flows = []
-    for (network, source, _sink), result in calls:
-        flows += result.flow[source].toarray()[0, network[source].indices].tolist()
-    return sorted(flows)
+def pair_values(calls) -> list[int]:
+    return sorted(value for _, value in calls)
 
 
 @pytest.mark.parametrize(
-    "n, kappa, flows", [(210, 70, 1), (270, 108, 1), (13, 12, 0), (16, 15, 0), (27, 26, 0)]
+    "n, kappa, flows", [(210, 70, 55), (270, 108, 46), (13, 12, 0), (16, 15, 0), (27, 26, 0)]
 )
 def test_oracle_flow_count(flow_calls, n, kappa, flows):
-    # every pair's flow runs in one max flow; a complete graph needs none
+    # one flow per non-adjacent twin-class pair, none pruned; a complete
+    # graph needs none
     assert kappa_element_oracle(n).kappa == kappa
     assert len(flow_calls) == flows
+    assert min(pair_values(flow_calls), default=kappa) == kappa
 
 
-@pytest.mark.parametrize("n, size", [(210, 1652), (270, 1382)])
-def test_oracle_flow_runs_on_the_union_of_pair_networks(flow_calls, n, size):
-    # 16 divisors, and the universal classes 1 and n are twins: 15 classes.
-    # 55 (210) or 46 (270) non-adjacent class pairs each get a 30-node copy
-    # of the class network, plus the super source and sink.
+@pytest.mark.parametrize("n", [210, 270])
+def test_each_pair_flow_runs_on_one_class_network(flow_calls, n):
+    # 16 divisors, and the universal classes 1 and n are twins: 15 classes,
+    # so every pair flow runs on the same 30-node template, from the exit
+    # node of one class (15 + u) to the entry node of the other (v < 15)
     kappa_element_oracle(n)
-    [((network, *_), _)] = flow_calls
-    assert network.shape == (size, size)
+    caps, arcs = flow_calls[0][0][:2]
+    assert len(caps) == len(arcs) == 30
+    pairs = set()
+    for (template, template_arcs, s, t), _ in flow_calls:
+        assert template is caps and template_arcs is arcs
+        assert 15 <= s < 30 and 0 <= t < 15 and s - 15 < t
+        pairs.add((s, t))
+    assert len(pairs) == len(flow_calls)
 
 
-def test_one_flow_gives_every_pair_value(flow_calls):
+def test_pair_flows_equal_scipy_per_pair_flows(flow_calls):
     for n in list(range(1, 121)) + [210, 270, 330]:
         flow_calls.clear()
         adj = element_adjacency(n)
         _twin_class_kappa(adj)
-        assert super_source_flows(flow_calls) == twin_pair_flows(adj), n
+        assert pair_values(flow_calls) == twin_pair_flows(adj), n
     for adj in twin_blown_up_graphs():
         flow_calls.clear()
         _twin_class_kappa(adj)
-        assert super_source_flows(flow_calls) == twin_pair_flows(adj)
+        assert pair_values(flow_calls) == twin_pair_flows(adj)
 
 
-def test_four_cycle_runs_one_flow_on_two_pair_networks(flow_calls):
+def test_four_cycle_runs_two_flows_of_value_two(flow_calls):
     # The 4-cycle has four one-vertex twin classes and two non-adjacent
-    # pairs, {0, 2} and {1, 3}, each separated by the other pair: two
-    # 8-node copies of the class network plus the super source and sink.
+    # pairs, {0, 2} and {1, 3}, each separated by the other pair: two flows
+    # on one 8-node class network.
     adj = np.array(
         [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=bool
     )
     assert _twin_class_kappa(adj) == 2
-    [((network, *_), _)] = flow_calls
-    assert network.shape == (18, 18)
-    assert super_source_flows(flow_calls) == [2, 2]
+    assert [len(args[0]) for args, _ in flow_calls] == [8, 8]
+    assert pair_values(flow_calls) == [2, 2]
+
+
+def test_maximum_flow_matches_scipy_on_random_networks():
+    # the oracle's flow on general digraphs, antiparallel arcs included,
+    # against scipy's solver
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        size = int(rng.integers(2, 12))
+        caps = np.where(rng.random((size, size)) < 0.35, rng.integers(1, 9, (size, size)), 0)
+        np.fill_diagonal(caps, 0)
+        s, t = rng.choice(size, 2, replace=False).tolist()
+        arcs = [[b for b in range(size) if caps[a, b] or caps[b, a]] for a in range(size)]
+        expected = maximum_flow(csr_matrix(caps.astype(np.int32)), s, t).flow_value
+        assert element_oracle.maximum_flow(caps.tolist(), arcs, s, t) == expected
 
 
 def test_oracle_complete_graphs():

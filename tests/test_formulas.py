@@ -15,11 +15,9 @@ from pgk import (
     build_quotient,
     build_Z,
     classify,
-    corollary_p1_ge_r,
     factorize,
     kappa_class,
     kappa_formula,
-    lemma4_slack,
     size_Z_formula,
     totient,
     upper_bound_ii,
@@ -80,6 +78,32 @@ def printed_kappa(f):
     if tag == R3_EXACT:
         return printed_r3(f)
     return None
+
+
+def corollary_p1_ge_r(f):
+    """The paper's corollary: exact kappa when the smallest prime is at least
+    the number of primes.
+
+    p_1 >= r forces 2*phi(P) >= P (with equality only for r = 2, p_1 = 2), so
+    kappa_formula gives the connectivity. None when p_1 < r or r < 2.
+    """
+    if f.r < 2 or f.primes[0] < f.r:
+        return None
+    return kappa_formula(f)
+
+
+def lemma4_slack(primes):
+    """The paper's Lemma 4 quantity for distinct primes q_1 < ... < q_t:
+    phi(q_1...q_t) - q_1...q_t + sum_k q_1...q_t / q_k.
+
+    Always >= 0, and zero exactly when t = 1. Raises ValueError unless the
+    tuple is non-empty and ascending primes.
+    """
+    if not primes:
+        raise ValueError("at least one prime required")
+    m = prod(primes)
+    Factorization(m, tuple((q, 1) for q in primes))  # raises unless ascending primes
+    return prod(q - 1 for q in primes) - m + sum(m // q for q in primes)
 
 
 def check_against_printed(f):

@@ -1,10 +1,13 @@
 """Property tests over random n, and lints on src/pgk: no asserts (in demos/
 either), no environment variables, an element oracle independent of the class
 route, a class route that imports only the quotient and no numeric library,
-n factored in one place per command, each input rule checked in one place,
-and an ``__all__`` that matches the package."""
+a package that never loads scipy, n factored in one place per command, each
+input rule checked in one place, and an ``__all__`` that matches the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from math import prod
 from pathlib import Path
@@ -258,18 +261,43 @@ def test_class_route_imports_only_the_quotient():
     assert imported and all(name.startswith(".quotient.") for name in imported)
 
 
-@pytest.mark.parametrize("name", ["connectivity.py", "quotient.py"])
-def test_class_route_imports_no_numeric_library(name):
-    # the class flow is its own pure-Python code: it may never borrow the
-    # element oracle's scipy solver or numpy arrays
-    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+def top_level_imports(path):
+    """The top-level packages a module of src/pgk imports by absolute name."""
     top = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             top |= {a.name.split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             top.add(node.module.split(".")[0])
+    return top
+
+
+@pytest.mark.parametrize("name", ["connectivity.py", "quotient.py"])
+def test_class_route_imports_no_numeric_library(name):
+    # the class flow is its own pure-Python code: it may never borrow the
+    # element oracle's numpy arrays, nor scipy, the tests' external solver
+    top = top_level_imports(SRC / name)
     assert top and not top & {"numpy", "scipy"}
+
+
+def test_no_module_imports_scipy():
+    # scipy is only the tests' third, external flow implementation
+    assert [path.name for path in SRC.glob("*.py") if "scipy" in top_level_imports(path)] == []
+
+
+def test_importing_pgk_and_its_cli_loads_no_scipy():
+    # what every pgk process pays before it computes anything
+    code = "import sys, pgk, pgk.cli; print(sorted({m.split('.')[0] for m in sys.modules}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        timeout=60,
+        check=True,
+    )
+    loaded = ast.literal_eval(proc.stdout)
+    assert "pgk" in loaded and "scipy" not in loaded
 
 
 def test_all_matches_the_package_imports():
