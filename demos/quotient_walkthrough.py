@@ -27,7 +27,8 @@ for d, weight in zip(g.divisors, g.weights):
 
 print("\nClasses are adjacent when one order divides the other, e.g.")
 print(f"  4 ~ 12: {g.adjacent(4, 12)},   4 ~ 6: {g.adjacent(4, 6)}")
-print(f"incomparable divisor pairs: {g.non_adjacent_pairs()}")
+pairs = [(u, v) for i, u in enumerate(g.divisors) for v in g.divisors[i + 1 :] if v % u]
+print(f"incomparable divisor pairs: {pairs}")
 
 print(f"\nsubgroup of order 6 = classes {sorted(subgroup_classes(g, 6))}")
 

@@ -15,7 +15,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from copy import copy
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -300,6 +299,8 @@ def _sweep_rows(tasks: list[tuple[int, int]], jobs: int) -> Iterator[Report]:
     # the fork start method launches every worker at once, so cap them
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays for it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_sweep_row, tasks, chunksize=16)
     else:

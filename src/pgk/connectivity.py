@@ -67,15 +67,31 @@ def _union(masks: list[int], m: int) -> int:
     return acc
 
 
+def _closure(arcs: tuple, xs: int, es: int, closed: tuple[int, int] = (0, 0)) -> tuple[int, int]:
+    # closed plus every node that the exits xs and entries es reach along the
+    # arcs (x_self, x_next, e_self, e_next), as an (exits, entries) pair of
+    # masks; closed must be closed the same way. exit(i) leads to entry(i) if
+    # i is in x_self and to the entries x_next[i]; entries likewise by e_*
+    x_self, x_next, e_self, e_next = arcs
+    seen_x, seen_e = closed[0] | xs, closed[1] | es
+    while xs or es:
+        xs, es = (
+            (_union(e_next, es) | es & e_self) & ~seen_x,
+            (_union(x_next, xs) | xs & x_self) & ~seen_e,
+        )
+        seen_x |= xs
+        seen_e |= es
+    return seen_x, seen_e
+
+
 class _Flow(NamedTuple):
-    """The residual state of one flow on a ``_ClassNet``; see ``_ClassNet.flow``."""
+    """The residual state of one flow on a ``_ClassNet``: what ``_ClassNet.flow`` reads."""
 
     r: list[int]  # r[i]: the residual capacity of class arc i
     fbits: int  # the classes whose class arc carries flow
     avail: int  # the classes with r[i] > 0
     amt: dict[tuple[int, int], int]  # amt[i, j] > 0: the flow on exit(i) -> entry(j)
     back: list[int]  # back[j]: the i with amt[i, j] > 0
-    fwd: list[int]  # fwd[i]: the j with amt[i, j] > 0
 
 
 class _ClassNet:
@@ -139,7 +155,8 @@ class _ClassNet:
 
         May stop early once the flow reaches ``limit``: a value below
         ``limit`` is the exact max flow, with the residual state to match;
-        an early stop returns a value >= limit.
+        an early stop returns a value >= limit. No ``limit`` is the total
+        weight plus one, which no flow reaches.
 
         The residual arcs of a state are: entry(i) -> exit(i) for i in
         ``avail``, exit(i) -> entry(i) for i in ``fbits`` (carrying
@@ -164,7 +181,9 @@ class _ClassNet:
         Warm start: next, for each a in ``comp[x] & avail`` and then each b
         in ``comp[a] & comp[y] & avail``, push min(r[a], r[b]) along the
         path x, a, b, y, stopping as soon as the value reaches ``limit``.
-        Both loops go from the highest bit down: the largest divisors, which
+        Each push records its three adjacency arcs in ``amt`` and ``back``
+        as it goes, so the state is whole wherever the loop stops. Both
+        loops go from the highest bit down: the largest divisors, which
         under phi weights are mostly the heaviest classes, so a few pushes
         saturate most of the value. An uncharged a is not comparable to y,
         nor an uncharged b to x, so no a is a b and a push takes nothing
@@ -195,6 +214,8 @@ class _ClassNet:
         """
         g = self.g
         comp, ws = self.comp, g.weights
+        if limit is None:
+            limit = sum(ws) + 1
         x, y = g.index(u), g.index(v)
         r = list(ws)
         value = 0
@@ -210,15 +231,13 @@ class _ClassNet:
         fbits = 0
         amt: dict[tuple[int, int], int] = {}
         back = [0] * len(ws)
-        fwd = [0] * len(ws)
         source, sink = 1 << x, 1 << y
         # warm start: saturate the paths x, a, b, y, largest a and b first
-        into_y = comp[y]
         heads = comp[x] & avail
-        while heads and (limit is None or value < limit):
+        while heads and value < limit:
             a = heads.bit_length() - 1
             heads ^= 1 << a
-            tails = comp[a] & into_y & avail
+            tails = comp[a] & comp[y] & avail
             left = r[a]
             while tails and left:
                 b = tails.bit_length() - 1
@@ -230,10 +249,11 @@ class _ClassNet:
                     avail ^= 1 << b
                 fbits |= 1 << b
                 amt[a, b] = pushed
-                fwd[a] |= 1 << b
                 back[b] |= 1 << a
+                amt[b, y] = ws[b] - r[b]  # all that class arc b carries
+                back[y] |= 1 << b
                 value += pushed
-                if limit is not None and value >= limit:
+                if value >= limit:
                     break
             if left != r[a]:
                 amt[x, a] = r[a] - left
@@ -241,18 +261,8 @@ class _ClassNet:
                 if not left:
                     avail ^= 1 << a
                 fbits |= 1 << a
-                fwd[x] |= 1 << a
                 back[a] = source
-        # each b sends on to y all that its class arc carries
-        m = fbits & into_y
-        back[y] = m
-        while m:
-            low = m & -m
-            b = low.bit_length() - 1
-            amt[b, y] = ws[b] - r[b]
-            fwd[b] = sink
-            m ^= low
-        while limit is None or value < limit:
+        while value < limit:
             # layers[k] is a mask of exits for even k and of entries for odd k
             layers = [source]
             seen_x, seen_e = source, 0
@@ -316,7 +326,6 @@ class _ClassNet:
                                 continue
                             del amt[b, a]
                             back[a] &= ~(1 << b)
-                            fwd[b] &= ~(1 << a)
                     elif a == b:
                         r[a] += pushed
                         avail |= 1 << a
@@ -326,35 +335,14 @@ class _ClassNet:
                     else:
                         amt[a, b] = amt.get((a, b), 0) + pushed
                         back[b] |= 1 << a
-                        fwd[a] |= 1 << b
                         continue
                     emptied = min(emptied, k)
                 value += pushed
-                if limit is not None and value >= limit:
-                    return value, _Flow(r, fbits, avail, amt, back, fwd)
+                if value >= limit:
+                    return value, _Flow(r, fbits, avail, amt, back)
                 # retreat to the tail of the first arc the push emptied
                 del path[emptied + 1 :]
-        return value, _Flow(r, fbits, avail, amt, back, fwd)
-
-    def _closure(
-        self, st: _Flow, xs: int, es: int, forward: bool, closed: tuple[int, int] = (0, 0)
-    ) -> tuple[int, int]:
-        # closed plus every node that the exits xs and entries es reach along
-        # residual arcs (forward) or that reach them (backward), as an (exits,
-        # entries) pair of masks; closed must be closed the same way
-        if forward:
-            x_self, x_next, e_self, e_next = st.fbits, self.comp, st.avail, st.back
-        else:
-            x_self, x_next, e_self, e_next = st.avail, st.fwd, st.fbits, self.comp
-        seen_x, seen_e = closed[0] | xs, closed[1] | es
-        while xs or es:
-            xs, es = (
-                (_union(e_next, es) | es & e_self) & ~seen_x,
-                (_union(x_next, xs) | xs & x_self) & ~seen_e,
-            )
-            seen_x |= xs
-            seen_e |= es
-        return seen_x, seen_e
+        return value, _Flow(r, fbits, avail, amt, back)
 
     def cuts(self, st: _Flow, u: int, v: int) -> Iterator[frozenset[int]]:
         """The classes of every minimum u-v cut, after an exact max flow u to v.
@@ -370,11 +358,17 @@ class _ClassNet:
         free node, so every leaf is a distinct cut and the delay is
         polynomial. The sink-side branch is taken first, so the first cut is
         the one cut by the residual closure of u. The classes of a cut are
-        those whose entry is on the source side and whose exit is not.
+        those whose entry is on the source side and whose exit is not. The
+        backward closures read ``amt`` by its tails, a view built per call.
         """
         g = self.g
         x, y = g.index(u), g.index(v)
-        stack = [(self._closure(st, 1 << x, 0, True), self._closure(st, 0, 1 << y, False))]
+        fwd = [0] * len(st.r)  # fwd[i]: the j with amt[i, j] > 0
+        for i, j in st.amt:
+            fwd[i] |= 1 << j
+        forward = (st.fbits, self.comp, st.avail, st.back)  # the residual arcs
+        backward = (st.avail, fwd, st.fbits, self.comp)  # the same, reversed
+        stack = [(_closure(forward, 1 << x, 0), _closure(backward, 0, 1 << y))]
         while stack:
             side, other = stack.pop()
             free_x = self.full & ~(side[0] | other[0])
@@ -385,8 +379,8 @@ class _ClassNet:
                 continue
             low_x, low_e = free_x & -free_x, free_e & -free_e
             node = (0, low_e) if low_e and (not low_x or low_e <= low_x) else (low_x, 0)
-            stack.append((self._closure(st, *node, True, side), other))
-            stack.append((side, self._closure(st, *node, False, other)))
+            stack.append((_closure(forward, *node, side), other))
+            stack.append((side, _closure(backward, *node, other)))
 
 
 def min_cut_between(g: QuotientGraph, u: int, v: int) -> tuple[int, frozenset[int]]:
@@ -417,14 +411,14 @@ def _source_flows(net: _ClassNet) -> Iterator[tuple[int, int, _Flow, int]]:
     ds, ws = g.divisors, g.weights
     universal = ws[0] + ws[-1]  # phi(n) + 1
     best = net.isolation
-    order = sorted(range(1, len(ds) - 1), key=ws.__getitem__, reverse=True)
-    # the classes that each end the rule alone; visit first the one with the
-    # fewest sinks, that is the most comparable classes, heavier on a tie
-    alone = [i for i in order if ws[i] > best - universal]
-    if alone:
-        first = max(alone, key=lambda i: (net.comp[i].bit_count(), ws[i]))
-        order.remove(first)
-        order.insert(0, first)
+    # heaviest first, but the classes that each end the rule alone go before
+    # all others, the one with the fewest sinks (the most comparable
+    # classes, heavier on a tie) first; the rule stops after it
+    order = sorted(
+        range(1, len(ds) - 1),
+        key=lambda i: (ws[i] > best - universal and net.comp[i].bit_count(), ws[i]),
+        reverse=True,
+    )
     visited = 0
     for i in order:
         x = ds[i]
@@ -450,8 +444,9 @@ def kappa_class(g: QuotientGraph) -> KappaResult:
     at the seed ``_ClassNet.isolation``, the lightest N(d), which is a
     separator, so best >= kappa throughout and every flow stops at best + 1.
     The order of the visit is free. When one class on its own exceeds the
-    stop bound at the seed, the rule visits first the one with the most
-    comparable classes, so the fewest sinks; then the rest heaviest first.
+    stop bound at the seed, the rule visits the one with the most
+    comparable classes, so the fewest sinks, and stops after it; otherwise
+    it visits the heaviest first.
 
     Proof sketch: a minimum separator S weighs kappa <= best and contains 1
     and n, so its other classes weigh at most best - phi(n) - 1. The visited

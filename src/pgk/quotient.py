@@ -81,16 +81,6 @@ class QuotientGraph:
         """Complete iff the divisors form a chain, i.e. n is 1 or a prime power."""
         return self.f.r <= 1
 
-    def non_adjacent_pairs(self) -> list[tuple[int, int]]:
-        """All incomparable divisor pairs (u, v) with u < v, lexicographic."""
-        ds = self.divisors
-        return [
-            (u, v)
-            for i, u in enumerate(ds)
-            for v in ds[i + 1 :]
-            if v % u != 0
-        ]
-
 
 def build_quotient(n: int) -> QuotientGraph:
     """Quotient graph of P(C_n): nodes are divisors of n in ascending order."""

@@ -443,7 +443,7 @@ def test_sweep_jobs_capped(capsys, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr("pgk.cli.ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     monkeypatch.setattr("pgk.cli.os.cpu_count", lambda: 4)
     assert run(capsys, "sweep", "--max-n", "20", "--jobs", "100000")[0] == 0
     assert run(capsys, "sweep", "--max-n", "3", "--jobs", "100000")[0] == 0

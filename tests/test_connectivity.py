@@ -29,6 +29,8 @@ from pgk import connectivity
 from pgk.cli import main
 from pgk.connectivity import _ClassNet, min_cuts
 
+from test_quotient import non_adjacent_pairs
+
 
 @pytest.mark.parametrize(
     "n, kappa",
@@ -206,7 +208,7 @@ def kappa_all_pairs(g):
         return g.n - 1
     net = ArcNet(g)
     best = None
-    for u, v in g.non_adjacent_pairs():
+    for u, v in non_adjacent_pairs(g):
         w, _ = net.flow(u, v, limit=best)
         if best is None or w < best:
             best = w
@@ -274,7 +276,6 @@ def check_state(g, u, v, value, st):
     assert st.fbits == sum(1 << i for i, f in enumerate(carried) if f)
     assert all(a > 0 and g.adjacent(g.divisors[i], g.divisors[j]) for (i, j), a in st.amt.items())
     assert st.back == [sum(1 << i for i, k in st.amt if k == j) for j in range(len(g.divisors))]
-    assert st.fwd == [sum(1 << j for k, j in st.amt if k == i) for i in range(len(g.divisors))]
     into = [sum(a for (_, j), a in st.amt.items() if j == i) for i in range(len(g.divisors))]
     out = [sum(a for (k, _), a in st.amt.items() if k == i) for i in range(len(g.divisors))]
     for i, f in enumerate(carried):
@@ -323,20 +324,20 @@ def hand_weighted(n, rng):
 def test_charged_flow_matches_reference_up_to_400():
     for n in range(2, 401):
         g = build_quotient(n)
-        check_flows_match_reference(g, g.non_adjacent_pairs())
+        check_flows_match_reference(g, non_adjacent_pairs(g))
 
 
 def test_hand_weighted_flow_matches_reference_up_to_400():
     rng = random.Random(400)
     for n in range(2, 401):
         g = hand_weighted(n, rng)
-        check_flows_match_reference(g, g.non_adjacent_pairs())
+        check_flows_match_reference(g, non_adjacent_pairs(g))
 
 
 @pytest.mark.parametrize("n", [2310, 55440])
 def test_charged_flow_matches_reference_on_sampled_pairs(n):
     g = build_quotient(n)
-    pairs = g.non_adjacent_pairs()
+    pairs = non_adjacent_pairs(g)
     check_flows_match_reference(g, random.Random(n).sample(pairs, 40))
 
 
@@ -359,7 +360,7 @@ def test_flow_that_cancels_class_flow_matches_the_arc_net(n, weights, u, v):
     # a rare case, found by search: the flow from u to v pushes along a
     # reverse class arc, and that arc is the one the push empties
     g = QuotientGraph(factorize(n), build_quotient(n).divisors, weights)
-    check_flows_match_reference(g, [(u, v)] + g.non_adjacent_pairs())
+    check_flows_match_reference(g, [(u, v)] + non_adjacent_pairs(g))
 
 
 def test_flow_needs_the_reverse_class_arcs():
@@ -383,7 +384,7 @@ def test_charge_reaching_the_limit_returns_before_any_augmentation(limit):
     charged = {g.index(d) for d in (1, 2, 12)}
     assert st.r == [0 if i in charged else w for i, w in enumerate(g.weights)]
     assert st.avail == net.full & ~sum(1 << i for i in charged)
-    assert (st.fbits, st.amt, st.back, st.fwd) == (0, {}, [0] * 6, [0] * 6)
+    assert (st.fbits, st.amt, st.back) == (0, {}, [0] * 6)
 
 
 def min_cuts_by_subsets(g, u, v, weight):
@@ -407,7 +408,7 @@ def test_cut_sides_are_all_minimum_cuts():
     for n in range(2, 101):
         g = build_quotient(n)
         net = _ClassNet(g)
-        for u, v in g.non_adjacent_pairs():
+        for u, v in non_adjacent_pairs(g):
             weight, res = net.flow(u, v)
             cuts = set(net.cuts(res, u, v))
             assert cuts == min_cuts_by_subsets(g, u, v, weight), (n, u, v)
@@ -428,7 +429,7 @@ def test_one_network_per_quotient(monkeypatch, capsys, n):
     g = build_quotient(n)
     kappa_class(g)
     min_cuts(g)
-    u, v = g.non_adjacent_pairs()[0]
+    u, v = non_adjacent_pairs(g)[0]
     min_cut_between(g, u, v)
     assert main(["separators", str(n), "--all-min"]) == 0
     assert built == [n, n, n, n]
@@ -632,7 +633,7 @@ def test_min_cut_between_known(n, u, v, weight, cut):
 def test_min_cut_certificate_separates_endpoints():
     for n in (30, 36, 60, 90, 210):
         g = build_quotient(n)
-        for u, v in g.non_adjacent_pairs():
+        for u, v in non_adjacent_pairs(g):
             weight, cut = min_cut_between(g, u, v)
             comps = components_without(g, cut)
             comp_of_u = next(c for c in comps if u in c)

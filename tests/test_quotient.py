@@ -1,6 +1,7 @@
 """Divisor-class quotient: structure, subgroup sets, element expansion, blow-up."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,6 +17,12 @@ from pgk import (
     subgroup_classes,
     totient,
 )
+
+
+def non_adjacent_pairs(g):
+    """Reference: every incomparable divisor pair (u, v) with u < v, in
+    lexicographic order."""
+    return [(u, v) for i, u in enumerate(g.divisors) for v in g.divisors[i + 1 :] if v % u]
 
 
 def test_quotient_6():
@@ -36,7 +43,8 @@ def test_quotient_prime_power_is_complete():
 
 def test_quotient_12_non_adjacent_pairs():
     g = build_quotient(12)
-    assert g.non_adjacent_pairs() == [(2, 3), (3, 4), (4, 6)]
+    pairs = [(u, v) for u, v in combinations(g.divisors, 2) if not g.adjacent(u, v)]
+    assert pairs == non_adjacent_pairs(g) == [(2, 3), (3, 4), (4, 6)]
     assert not g.is_complete
 
 
