@@ -10,14 +10,7 @@ tight flows of the class cut.
 """
 
 from .arith import Factorization, alpha_beta, divisors, factorize, totient
-from .connectivity import (
-    KappaResult,
-    SeparationWitness,
-    kappa_class,
-    min_cut_between,
-    verify_witness,
-    witness_problems,
-)
+from .connectivity import KappaResult, kappa_class, min_cut_between
 from .element_oracle import element_adjacency, kappa_element_oracle
 from .formulas import (
     CASE_I,
@@ -40,11 +33,13 @@ from .quotient import (
 )
 from .separators import (
     ClassSeparator,
+    SeparationWitness,
     build_Z,
     check_disconnects,
     enumerate_min_separators,
     example_2310,
     optimal_Z,
+    witness_problems,
 )
 
 __version__ = "0.1.0"
@@ -61,12 +56,9 @@ __all__ = [
     "expand_to_elements",
     "components_without",
     "KappaResult",
-    "SeparationWitness",
     "kappa_class",
     "kappa_element_oracle",
     "min_cut_between",
-    "verify_witness",
-    "witness_problems",
     "element_adjacency",
     "CaseTag",
     "classify",
@@ -79,10 +71,12 @@ __all__ = [
     "CASE_III",
     "R3_EXACT",
     "ClassSeparator",
+    "SeparationWitness",
     "build_Z",
     "optimal_Z",
     "example_2310",
     "check_disconnects",
+    "witness_problems",
     "enumerate_min_separators",
     "__version__",
 ]

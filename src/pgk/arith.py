@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Iterable
 
 
 def _is_prime(p: int) -> bool:
@@ -118,27 +117,25 @@ def divisors(n: int) -> list[int]:
     return [d for d, _ in factorize(n).divisor_classes()]
 
 
-def alpha_beta(f: Factorization, k: int, drop: Iterable[int] = ()) -> int:
-    """The layered separator integers alpha_k and beta_{k, drop}.
+def alpha_beta(f: Factorization, k: int, drop: int | None = None) -> int:
+    """The layered separator integers alpha_k and beta_{k,i}.
 
     alpha_k carries every prime except the largest at full multiplicity and
     the largest prime p_r at exponent k:
 
         alpha_k = p_1^e_1 * ... * p_{r-1}^e_{r-1} * p_r^k,   0 <= k <= e_r - 1.
 
-    A nonempty ``drop`` (1-based positions among the first r-1 primes) divides
-    one copy of each dropped prime out of alpha_k, giving beta_{k, drop}.
+    A ``drop`` position i (1-based, among the first r-1 primes) divides one
+    copy of p_i out of alpha_k, giving beta_{k,i} = alpha_k / p_i.
     """
     if f.r < 2:
         raise ValueError("alpha/beta require at least two distinct primes")
     e_r = f.exponents[-1]
     if not 0 <= k <= e_r - 1:
         raise ValueError(f"k must satisfy 0 <= k <= {e_r - 1}, got {k}")
-    drop_set = set(drop)
-    for i in drop_set:
-        if not 1 <= i <= f.r - 1:
-            raise ValueError(f"drop position {i} out of range 1..{f.r - 1}")
-    value = f.n // f.primes[-1] ** (e_r - k)
-    for i in drop_set:
-        value //= f.primes[i - 1]
-    return value
+    alpha = f.n // f.primes[-1] ** (e_r - k)
+    if drop is None:
+        return alpha
+    if not 1 <= drop <= f.r - 1:
+        raise ValueError(f"drop position {drop} out of range 1..{f.r - 1}")
+    return alpha // f.primes[drop - 1]

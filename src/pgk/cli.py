@@ -15,23 +15,23 @@ import os
 import re
 import sys
 import time
+from contextlib import suppress
 from copy import copy
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .arith import factorize
-from .connectivity import kappa_class, verify_witness
+from .connectivity import kappa_class
 from .element_oracle import MAX_ELEMENT_N, kappa_element_oracle
-from .formulas import CASE_II_BOUND, R3_EXACT, classify, kappa_formula, upper_bound_ii
+from .formulas import R3_EXACT, classify, kappa_formula, upper_bound_ii
 from .quotient import build_quotient
 from .separators import (
     ClassSeparator, check_disconnects, enumerate_min_separators, example_2310, optimal_Z,
+    witness_problems,
 )
 
 SCHEMA = "pgk/1"
-#: Report case label for n with no closed form (classify's CASE_II_BOUND).
-COMPUTED_ONLY = "computed-only"
 CSV_COLUMNS = (
     "n", "r", "case", "kappa_formula", "kappa_computed", "bound_ii", "agreement",
     "n_min_separators", "ms",
@@ -99,7 +99,6 @@ def build_report(n: int, *, use_element: bool = False) -> Report:
     """Compute everything known about n and package the agreement verdict."""
     start = time.perf_counter()
     g = build_quotient(n)
-    c = classify(g.f)
     formula = kappa_formula(g.f)
     bound = upper_bound_ii(g.f)
     computed = kappa_class(g).kappa
@@ -113,7 +112,7 @@ def build_report(n: int, *, use_element: bool = False) -> Report:
     return Report(
         n=n,
         factorization=g.f.factors,
-        case=COMPUTED_ONLY if c.tag == CASE_II_BOUND else c.tag,
+        case=classify(g.f).tag,
         kappa_computed=computed,
         kappa_formula=formula,
         kappa_element=element,
@@ -268,7 +267,7 @@ def cmd_example2310(args: SimpleNamespace) -> int:
     ok = (
         sep.weight == f.phi + 150
         and sep.witness is not None
-        and verify_witness(sep.g, sep.witness)
+        and not witness_problems(sep.g, sep.witness)
         and sep.witness.block_a == frozenset({30})
         and sep.weight < bound
     )
@@ -310,25 +309,19 @@ def _sweep_rows(tasks: list[tuple[int, int]], jobs: int) -> Iterator[Report]:
 def cmd_sweep(args: SimpleNamespace) -> int:
     ns = sorted(set(range(2, args.max_n + 1)) | set(args.extra))
     tasks = [(n, args.oracle_max_n) for n in ns]
-    # open the sink first, so an unwritable --out fails before any work
-    if args.out:
-        try:
-            sink = open(args.out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-        summary_sink = sys.stdout
-    else:
-        sink, summary_sink = sys.stdout, sys.stderr
     start = time.perf_counter()
     cases: dict[str, int] = {}
     mismatches: list[int] = []
     strict: list[int] = []
     oracle_checked = 0
+    sink = sys.stdout
+    rows = _sweep_rows(tasks, args.jobs)
     try:
+        if args.out:  # before any row, so an unwritable --out costs no work
+            sink = open(args.out, "w", encoding="utf-8")
         if args.format == "csv":
             print(",".join(CSV_COLUMNS), file=sink)
-        for report in _sweep_rows(tasks, args.jobs):
+        for report in rows:
             line = ",".join(report.csv_row()) if args.format == "csv" else report.to_json()
             print(line, file=sink)
             cases[report.case] = cases.get(report.case, 0) + 1
@@ -337,13 +330,22 @@ def cmd_sweep(args: SimpleNamespace) -> int:
             if report.bound_strict:
                 strict.append(report.n)
             oracle_checked += report.kappa_element is not None
-    finally:
-        if sink is not sys.stdout:
+        if args.out:
             sink.close()
+    except OSError as exc:
+        if not args.out:
+            raise  # a reader closed stdout: entrypoint handles it
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        rows.close()  # drops the rows not yet computed
+        if sink is not sys.stdout:
+            with suppress(OSError):
+                sink.close()  # after a failed write it retries the flush, which fails again
     ms_total = round((time.perf_counter() - start) * 1000.0, 1)
-    _print_json(summary_sink, summary=True, rows=len(tasks), cases=dict(sorted(cases.items())),
-                mismatches=mismatches, bound_strict=strict, oracle_checked=oracle_checked,
-                ms_total=ms_total)
+    _print_json(sys.stdout if args.out else sys.stderr, summary=True, rows=len(tasks),
+                cases=dict(sorted(cases.items())), mismatches=mismatches, bound_strict=strict,
+                oracle_checked=oracle_checked, ms_total=ms_total)
     return 2 if mismatches else 0
 
 

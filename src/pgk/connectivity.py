@@ -21,10 +21,11 @@ The flows are plain Python and borrow nothing from the oracle's solver.
 Complete quotients (n = 1 or a prime power) have no non-adjacent pair and
 kappa = n - 1 by convention, kappa(P(C_1)) = 0 included.
 
-The independent element-level brute force lives in ``element_oracle`` and
-shares no graph or flow code with this module; the two routes are meant to
-check each other. Both compute kappa only; the CLI report labels which of
-the paper's cases n falls in.
+This module computes kappa and minimum cuts only; separators and the check
+of their witnesses live in ``separators``. The independent element-level
+brute force lives in ``element_oracle`` and shares no graph or flow code
+with this module; the two routes are meant to check each other. The CLI
+report labels which of the paper's cases n falls in.
 """
 
 from __future__ import annotations
@@ -42,19 +43,6 @@ class KappaResult:
     n: int
     kappa: int
     method: str  # "class-cut" | "element-oracle"
-
-
-@dataclass(frozen=True)
-class SeparationWitness:
-    """A certified separation: removing ``removed`` splits the survivors.
-
-    block_a and block_b partition the surviving divisor classes and no class
-    of one block divides or is divided by a class of the other.
-    """
-
-    removed: frozenset[int]
-    block_a: frozenset[int]
-    block_b: frozenset[int]
 
 
 def _union(masks: list[int], m: int) -> int:
@@ -487,34 +475,3 @@ def min_cuts(g: QuotientGraph) -> tuple[int, set[frozenset[int]]]:
         raise RuntimeError(f"n={g.n}: no flow of the source rule reached the minimum {best}")
     cuts = {cut for x, v, st in tight for cut in net.cuts(st, x, v)}
     return best, cuts
-
-
-def witness_problems(g: QuotientGraph, w: SeparationWitness) -> list[str]:
-    """All reasons the witness fails to certify a separation; empty if valid."""
-    problems: list[str] = []
-    all_divisors = set(g.divisors)
-    for name, part in (("removed", w.removed), ("block_a", w.block_a), ("block_b", w.block_b)):
-        bad = set(part) - all_divisors
-        if bad:
-            problems.append(f"{name} contains non-divisors of {g.n}: {sorted(bad)}")
-    if problems:
-        return problems
-    if not w.block_a or not w.block_b:
-        problems.append("both blocks must be nonempty")
-    if w.block_a & w.block_b:
-        problems.append("blocks overlap")
-    if (w.block_a | w.block_b) & w.removed:
-        problems.append("blocks overlap the removed set")
-    expected = all_divisors - w.removed
-    if w.block_a | w.block_b != expected:
-        problems.append("blocks do not cover exactly the surviving classes")
-    for a in sorted(w.block_a):
-        for b in sorted(w.block_b):
-            if a != b and (a % b == 0 or b % a == 0):
-                problems.append(f"edge between blocks: {a} ~ {b}")
-    return problems
-
-
-def verify_witness(g: QuotientGraph, w: SeparationWitness) -> bool:
-    """True iff the witness certifies a separation of the surviving classes."""
-    return not witness_problems(g, w)

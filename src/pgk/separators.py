@@ -1,4 +1,8 @@
-"""Explicit separator constructions and the list of all minimum separators.
+"""Separator certificates: their constructions, their witnesses and the check.
+
+A ClassSeparator carries a SeparationWitness that check_disconnects builds:
+two blocks of survivors with no edge between them. witness_problems checks
+one by divisibility alone; neither calls anything of the class cut.
 
 The layered family Z(r, k), defined for 0 <= k <= e_r - 1, removes
 
@@ -30,9 +34,22 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .arith import alpha_beta
-from .connectivity import SeparationWitness, min_cuts
+from .connectivity import min_cuts
 from .formulas import CASE_III, best_layer, classify
 from .quotient import QuotientGraph, build_quotient, components_without, subgroup_classes
+
+
+@dataclass(frozen=True)
+class SeparationWitness:
+    """A certified separation: removing ``removed`` splits the survivors.
+
+    block_a and block_b partition the surviving divisor classes and no class
+    of one block divides or is divided by a class of the other.
+    """
+
+    removed: frozenset[int]
+    block_a: frozenset[int]
+    block_b: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -63,8 +80,8 @@ def build_Z(g: QuotientGraph, k: int) -> ClassSeparator:
     classes = {f.n}
     for j in range(k + 1, e_r):
         classes.add(alpha_beta(f, j))
-    betas = [alpha_beta(f, k, {i}) for i in range(1, f.r)]
-    classes.update(d for d in g.divisors if any(b % d == 0 for b in betas))
+    for i in range(1, f.r):
+        classes |= subgroup_classes(g, alpha_beta(f, k, i))
     return ClassSeparator(g, frozenset(classes), label=f"Z({f.r},{k})")
 
 
@@ -92,6 +109,32 @@ def example_2310() -> ClassSeparator:
     classes = frozenset({g.n, 210, 330}).union(*(subgroup_classes(g, d) for d in (6, 10, 15)))
     sep = ClassSeparator(g, classes, label="example-2310")
     return replace(sep, witness=check_disconnects(sep))
+
+
+def witness_problems(g: QuotientGraph, w: SeparationWitness) -> list[str]:
+    """All reasons the witness fails to certify a separation; empty if valid."""
+    problems: list[str] = []
+    all_divisors = set(g.divisors)
+    for name, part in (("removed", w.removed), ("block_a", w.block_a), ("block_b", w.block_b)):
+        bad = set(part) - all_divisors
+        if bad:
+            problems.append(f"{name} contains non-divisors of {g.n}: {sorted(bad)}")
+    if problems:
+        return problems
+    if not w.block_a or not w.block_b:
+        problems.append("both blocks must be nonempty")
+    if w.block_a & w.block_b:
+        problems.append("blocks overlap")
+    if (w.block_a | w.block_b) & w.removed:
+        problems.append("blocks overlap the removed set")
+    expected = all_divisors - w.removed
+    if w.block_a | w.block_b != expected:
+        problems.append("blocks do not cover exactly the surviving classes")
+    for a in sorted(w.block_a):
+        for b in sorted(w.block_b):
+            if a != b and (a % b == 0 or b % a == 0):
+                problems.append(f"edge between blocks: {a} ~ {b}")
+    return problems
 
 
 def check_disconnects(s: ClassSeparator) -> SeparationWitness:

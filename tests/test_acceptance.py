@@ -26,7 +26,7 @@ from pgk import (
     size_Z_formula,
     totient,
     upper_bound_ii,
-    verify_witness,
+    witness_problems,
 )
 from pgk.connectivity import _ClassNet
 
@@ -111,7 +111,7 @@ def test_criterion_3_example_2310():
     assert sep.weight == 630 == phi + 150
     witness = check_disconnects(sep)
     assert witness.block_a == frozenset({30})
-    assert verify_witness(build_quotient(2310), witness)
+    assert witness_problems(build_quotient(2310), witness) == []
     bound = upper_bound_ii(factorize(2310))
     assert bound == 642 == phi + 162
     assert sep.weight < bound
@@ -179,7 +179,7 @@ def test_criterion_4b_separators_in_the_case_ii_bound_regime(kappa_table):
         (sep,) = seps
         assert sep.weight == kappa_table[n] == sum(g.weight(d) for d in sep.classes)
         assert {1, n} <= sep.classes, n
-        assert sep.witness is not None and verify_witness(g, sep.witness), n
+        assert sep.witness is not None and witness_problems(g, sep.witness) == [], n
     assert sep.classes == example_2310().classes  # the last n, 2310
     _passed(
         "criterion 4b (case-ii-bound separators)",
@@ -222,7 +222,7 @@ def test_criterion_6_layer_sets_size_and_disconnection():
             z = build_Z(g, k)
             assert z.weight == size_Z_formula(f, k), f"size mismatch at n={n}, k={k}"
             witness = check_disconnects(z)  # raises if the remainder is connected
-            assert verify_witness(g, witness), (n, k)
+            assert witness_problems(g, witness) == [], (n, k)
             sizes_checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 120, f"criterion 6 exceeded its 120 s budget: {elapsed:.1f} s"

@@ -148,8 +148,8 @@ def test_alpha_beta_examples():
     f36 = factorize(36)
     assert alpha_beta(f36, 0) == 4
     assert alpha_beta(f36, 1) == 12
-    assert alpha_beta(f36, 0, {1}) == 2
-    assert alpha_beta(factorize(45), 0, {1}) == 3
+    assert alpha_beta(f36, 0, 1) == 2
+    assert alpha_beta(factorize(45), 0, 1) == 3
 
 
 def test_alpha_beta_divides_n():
@@ -157,7 +157,7 @@ def test_alpha_beta_divides_n():
     for k in range(f.exponents[-1]):
         assert f.n % alpha_beta(f, k) == 0
         for i in range(1, f.r):
-            assert f.n % alpha_beta(f, k, {i}) == 0
+            assert f.n % alpha_beta(f, k, i) == 0
 
 
 def test_alpha_beta_rejects_bad_input():
@@ -167,7 +167,7 @@ def test_alpha_beta_rejects_bad_input():
     with pytest.raises(ValueError):
         alpha_beta(f36, -1)
     with pytest.raises(ValueError):
-        alpha_beta(f36, 0, {2})  # drop may not include the largest prime
+        alpha_beta(f36, 0, 2)  # drop may not be the largest prime
     with pytest.raises(ValueError):
         alpha_beta(factorize(8), 0)  # needs two distinct primes
 

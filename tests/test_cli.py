@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from pgk import (
-    Factorization, QuotientGraph, SeparationWitness, build_quotient, kappa_class, verify_witness,
+    Factorization, QuotientGraph, SeparationWitness, build_quotient, kappa_class, witness_problems,
 )
 from pgk.cli import CSV_COLUMNS, Report, _sweep_max_n, build_report, main
 from pgk.connectivity import _ClassNet
@@ -51,7 +51,7 @@ def test_kappa_2310_reports_strict_bound(capsys):
     code, out, _ = run(capsys, "kappa", "2310", "--json")
     assert code == 0
     data = json.loads(out)
-    assert data["case"] == "computed-only"
+    assert data["case"] == "case-ii-bound"
     assert data["kappa_computed"] == 630
     assert data["kappa_formula"] is None
     assert data["bound_ii"] == 642
@@ -72,7 +72,7 @@ def test_kappa_at_the_largest_tau_below_the_limit(capsys):
     # seconds, and its kappa is the lightest N(d), as Conjecture A predicts
     code, out, _ = run(capsys, "kappa", "963761198400", "--json")
     data = json.loads(out)
-    assert (code, data["case"], data["kappa_computed"]) == (0, "computed-only", 175392475200)
+    assert (code, data["case"], data["kappa_computed"]) == (0, "case-ii-bound", 175392475200)
     assert data["bound_ii"] > data["kappa_computed"]
 
 
@@ -127,7 +127,7 @@ def test_kappa_above_the_bound_is_reported_violated(capsys, monkeypatch):
     rigged = Report(     # a computed kappa above the case-ii bound: a mismatch
         n=2310,
         factorization=((2, 1), (3, 1), (5, 1), (7, 1), (11, 1)),
-        case="computed-only",
+        case="case-ii-bound",
         kappa_computed=700,
         bound_ii=642,
         agreement=False,
@@ -256,7 +256,7 @@ def test_separators_all_min_past_old_guard(capsys):
             *(frozenset(sep["witness"][k]) for k in ("removed", "block_a", "block_b"))
         )
         assert sorted(witness.removed) == sep["classes"]
-        assert verify_witness(g, witness)
+        assert witness_problems(g, witness) == []
 
 
 @pytest.mark.parametrize("n", [36, 1944, 2310])
@@ -534,6 +534,46 @@ def test_sweep_unwritable_out(tmp_path, capsys, monkeypatch):
     assert calls == []  # fails before computing any row
 
 
+DEV_FULL = "/dev/full"  # every write to it fails with ENOSPC
+needs_dev_full = pytest.mark.skipif(not os.path.exists(DEV_FULL), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_out_on_a_full_device_is_one_error_line(capsys, jobs):
+    # three short rows fit the buffer, so the write fails only on close
+    code, out, err = run(capsys, "sweep", "--max-n", "3", "--jobs", jobs, "--out", DEV_FULL)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {DEV_FULL}: ")
+
+
+@needs_dev_full
+def test_sweep_out_on_a_full_device_stops_computing(capsys, monkeypatch):
+    computed = []
+    real = build_report
+    monkeypatch.setattr("pgk.cli.build_report", lambda n, **k: computed.append(n) or real(n, **k))
+    code, _, err = run(capsys, "sweep", "--max-n", "2000", "--out", DEV_FULL)
+    assert code == 1 and "cannot write" in err
+    assert 0 < len(computed) < 1999  # the first full buffer ends the sweep
+
+
+@needs_dev_full
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_out_on_a_full_device_exits_1_without_traceback(jobs):
+    argv = ["sweep", "--max-n", "3", "--jobs", jobs, "--out", DEV_FULL]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgk.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.startswith(f"error: cannot write {DEV_FULL}: ")
+
+
 # --- report plumbing ----------------------------------------------------------------
 
 
@@ -553,7 +593,7 @@ def test_build_report_case_labels():
         36: "case-iii",
         45: "case-i",
         150: "r3-exact",
-        2310: "computed-only",
+        2310: "case-ii-bound",
     }
 
 

@@ -1,4 +1,4 @@
-"""Class-level connectivity: kappa, pairwise cuts, witnesses."""
+"""Class-level connectivity: kappa and pairwise cuts."""
 
 import copy
 import random
@@ -12,7 +12,6 @@ import pytest
 from pgk import (
     KappaResult,
     QuotientGraph,
-    SeparationWitness,
     alpha_beta,
     build_quotient,
     components_without,
@@ -22,8 +21,6 @@ from pgk import (
     min_cut_between,
     totient,
     upper_bound_ii,
-    verify_witness,
-    witness_problems,
 )
 from pgk import connectivity
 from pgk.cli import main
@@ -666,61 +663,3 @@ def test_class_route_matches_element_oracle_small():
         ko = kappa_element_oracle(n).kappa
         assert kc == ko, f"n={n}: class {kc} vs element {ko}"
 
-
-# --- witnesses ----------------------------------------------------------------
-
-
-def test_verify_witness_example_2310():
-    g = build_quotient(2310)
-    removed = {2310, 210, 330} | {1, 2, 3, 6} | {1, 2, 5, 10} | {1, 3, 5, 15}
-    survivors = set(g.divisors) - removed
-    w = SeparationWitness(
-        removed=frozenset(removed),
-        block_a=frozenset({30}),
-        block_b=frozenset(survivors - {30}),
-    )
-    assert verify_witness(g, w)
-
-
-def test_verify_witness_rejects_connected_remainder():
-    g = build_quotient(12)
-    survivors = [d for d in g.divisors if d != 12]
-    # class 1 survives and is adjacent to everything: every split fails
-    for cut_point in range(1, len(survivors)):
-        w = SeparationWitness(
-            removed=frozenset({12}),
-            block_a=frozenset(survivors[:cut_point]),
-            block_b=frozenset(survivors[cut_point:]),
-        )
-        assert not verify_witness(g, w)
-
-
-def test_verify_witness_z_set_36():
-    g = build_quotient(36)
-    w = SeparationWitness(
-        removed=frozenset({1, 2, 12, 36}),
-        block_a=frozenset({4}),
-        block_b=frozenset({3, 6, 9, 18}),
-    )
-    assert verify_witness(g, w)
-
-
-def test_witness_problems_diagnostics():
-    g = build_quotient(36)
-    ok = SeparationWitness(frozenset({1, 2, 12, 36}), frozenset({4}), frozenset({3, 6, 9, 18}))
-    assert witness_problems(g, ok) == []
-
-    missing = SeparationWitness(frozenset({1, 2, 12, 36}), frozenset({4}), frozenset({3, 6, 9}))
-    assert any("surviving" in p for p in witness_problems(g, missing))
-
-    overlapping = SeparationWitness(frozenset({1, 2, 12, 36}), frozenset({4, 3}), frozenset({3, 6, 9, 18}))
-    assert witness_problems(g, overlapping)
-
-    crossing = SeparationWitness(frozenset({1, 2, 12, 36}), frozenset({4, 9}), frozenset({3, 6, 18}))
-    assert any("edge between blocks" in p for p in witness_problems(g, crossing))
-
-    foreign = SeparationWitness(frozenset({7}), frozenset({4}), frozenset({3, 6, 9, 18}))
-    assert any("non-divisors" in p for p in witness_problems(g, foreign))
-
-    empty_block = SeparationWitness(frozenset(set(g.divisors) - {4}), frozenset({4}), frozenset())
-    assert any("nonempty" in p for p in witness_problems(g, empty_block))

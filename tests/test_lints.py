@@ -1,9 +1,9 @@
 """Lints on src/pgk: no asserts (in demos/ either), no environment variables,
 an element oracle independent of the class route, a class route that imports
-only the quotient and no numeric library, a package that never loads scipy
-(nor, on import, the process pool), n factored in one place per command,
-each input rule checked in one place, and an ``__all__`` that matches the
-package."""
+only the quotient and no numeric library, a separation check that calls
+nothing of the class cut, a package that never loads scipy (nor, on import,
+the process pool), n factored in one place per command, each input rule
+checked in one place, and an ``__all__`` that matches the package."""
 
 import ast
 import os
@@ -139,6 +139,21 @@ def test_class_route_imports_only_the_quotient():
     # the class cut computes kappa only; the case label is the report's
     imported = pgk_imports("connectivity.py")
     assert imported and all(name.startswith(".quotient.") for name in imported)
+
+
+def test_the_separation_check_shares_no_code_with_the_class_cut():
+    # a witness certifies a class-cut answer, so its type and its check live
+    # in separators.py, and the check and the witness builder call nothing
+    # that separators.py takes from connectivity.py
+    tree = ast.parse((SRC / "connectivity.py").read_text(encoding="utf-8"))
+    names = {getattr(node, k, None) for node in ast.walk(tree) for k in ("id", "attr", "name")}
+    assert not {name for name in names if name and "witness" in name.lower()}
+    imported = pgk_imports("separators.py")
+    from_cut = {i.rsplit(".", 1)[1] for i in imported if i.startswith(".connectivity.")}
+    assert from_cut
+    calls = calls_by_definition("separators.py")
+    for name in ("witness_problems", "check_disconnects"):
+        assert calls[name] and not set(calls[name]) & from_cut, name
 
 
 def top_level_imports(path):

@@ -1,6 +1,5 @@
 """Property tests over random n, drawn by hypothesis. The lints on src/pgk
-live in test_lints.py, which runs without hypothesis; with it they are also
-collected here, under the names they had when they lived in this module."""
+live in test_lints.py, which runs without hypothesis."""
 
 from math import prod
 
@@ -17,7 +16,7 @@ from pgk import (
     kappa_class,
     min_cut_between,
     size_Z_formula,
-    verify_witness,
+    witness_problems,
 )
 from pgk.connectivity import min_cuts
 
@@ -28,8 +27,6 @@ from test_quotient import non_adjacent_pairs
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-
-from test_lints import *  # noqa: E402,F401,F403
 
 composite = st.integers(min_value=2, max_value=3000).filter(
     lambda n: factorize(n).r >= 2
@@ -128,4 +125,4 @@ def test_enumerated_separators_are_verified_minima(n):
     assert seps
     for s in seps:
         assert s.weight == kappa == sum(g.weight(d) for d in s.classes)
-        assert s.witness is not None and verify_witness(g, s.witness)
+        assert s.witness is not None and witness_problems(g, s.witness) == []

@@ -1,9 +1,10 @@
-"""Layer separators Z(r, k), the 2310 certificate, and exhaustive enumeration."""
+"""Layer separators Z(r, k), the 2310 certificate, witnesses, and exhaustive enumeration."""
 
 import pytest
 
 from pgk import (
     ClassSeparator,
+    SeparationWitness,
     build_quotient,
     build_Z,
     check_disconnects,
@@ -18,7 +19,7 @@ from pgk import (
     size_Z_formula,
     totient,
     upper_bound_ii,
-    verify_witness,
+    witness_problems,
 )
 
 from test_connectivity import kappa_all_pairs
@@ -76,7 +77,7 @@ def test_Z_always_disconnects():
             continue
         for k in range(g.f.exponents[-1]):
             w = check_disconnects(build_Z(g, k))
-            assert verify_witness(g, w), (n, k)
+            assert witness_problems(g, w) == [], (n, k)
 
 
 def test_optimal_Z_choices():
@@ -114,7 +115,7 @@ def test_example_2310_certificate():
     assert sep.weight < bound == 642 == phi + 162
     assert sep.witness is not None
     assert sep.witness.block_a == frozenset({30})
-    assert verify_witness(build_quotient(2310), sep.witness)
+    assert witness_problems(build_quotient(2310), sep.witness) == []
 
 
 def test_separator_weight_rejects_a_non_divisor():
@@ -150,6 +151,65 @@ def test_check_disconnects_rejects_tiny_remainders():
     foreign = ClassSeparator(build_quotient(12), frozenset({5}))
     with pytest.raises(ValueError, match="does not divide"):
         check_disconnects(foreign)
+
+
+# --- witnesses ----------------------------------------------------------------
+
+
+def test_witness_example_2310():
+    g = build_quotient(2310)
+    removed = {2310, 210, 330} | {1, 2, 3, 6} | {1, 2, 5, 10} | {1, 3, 5, 15}
+    survivors = set(g.divisors) - removed
+    w = SeparationWitness(
+        removed=frozenset(removed),
+        block_a=frozenset({30}),
+        block_b=frozenset(survivors - {30}),
+    )
+    assert witness_problems(g, w) == []
+
+
+def test_witness_rejects_connected_remainder():
+    g = build_quotient(12)
+    survivors = [d for d in g.divisors if d != 12]
+    # class 1 survives and is adjacent to everything: every split fails
+    for cut_point in range(1, len(survivors)):
+        w = SeparationWitness(
+            removed=frozenset({12}),
+            block_a=frozenset(survivors[:cut_point]),
+            block_b=frozenset(survivors[cut_point:]),
+        )
+        assert witness_problems(g, w)
+
+
+def test_witness_z_set_36():
+    g = build_quotient(36)
+    w = SeparationWitness(
+        removed=frozenset({1, 2, 12, 36}),
+        block_a=frozenset({4}),
+        block_b=frozenset({3, 6, 9, 18}),
+    )
+    assert witness_problems(g, w) == []
+
+
+def test_witness_problems_diagnostics():
+    g = build_quotient(36)
+    ok = SeparationWitness(frozenset({1, 2, 12, 36}), frozenset({4}), frozenset({3, 6, 9, 18}))
+    assert witness_problems(g, ok) == []
+
+    missing = SeparationWitness(frozenset({1, 2, 12, 36}), frozenset({4}), frozenset({3, 6, 9}))
+    assert any("surviving" in p for p in witness_problems(g, missing))
+
+    overlapping = SeparationWitness(frozenset({1, 2, 12, 36}), frozenset({4, 3}), frozenset({3, 6, 9, 18}))
+    assert witness_problems(g, overlapping)
+
+    crossing = SeparationWitness(frozenset({1, 2, 12, 36}), frozenset({4, 9}), frozenset({3, 6, 18}))
+    assert any("edge between blocks" in p for p in witness_problems(g, crossing))
+
+    foreign = SeparationWitness(frozenset({7}), frozenset({4}), frozenset({3, 6, 9, 18}))
+    assert any("non-divisors" in p for p in witness_problems(g, foreign))
+
+    empty_block = SeparationWitness(frozenset(set(g.divisors) - {4}), frozenset({4}), frozenset())
+    assert any("nonempty" in p for p in witness_problems(g, empty_block))
 
 
 # --- enumeration from tight flows ------------------------------------------------
@@ -268,7 +328,7 @@ def test_enumeration_results_are_sound():
         for s in seps:
             assert {1, n} <= set(s.classes), (n, sorted(s.classes))
             assert s.weight == kappa == sum(g.weight(d) for d in s.classes)
-            assert s.witness is not None and verify_witness(g, s.witness)
+            assert s.witness is not None and witness_problems(g, s.witness) == []
 
 
 def test_enumeration_matches_subset_search():
