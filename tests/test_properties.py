@@ -1,5 +1,6 @@
 """Property tests over random n, drawn by hypothesis. The lints on src/pgk
-live in test_lints.py, which runs without hypothesis."""
+live in test_lints.py, which runs without hypothesis; with it, those that once
+lived in this module are also collected here, under the names they had then."""
 
 from math import prod
 
@@ -27,6 +28,22 @@ from test_quotient import non_adjacent_pairs
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+
+from test_lints import (  # noqa: E402,F401
+    test_all_matches_the_package_imports,
+    test_class_route_imports_no_numeric_library,
+    test_class_route_imports_only_the_quotient,
+    test_each_command_factors_n_in_one_place,
+    test_each_input_rule_is_checked_in_one_place,
+    test_element_oracle_imports_nothing_of_the_class_route,
+    test_importing_pgk_and_its_cli_loads_no_process_pool,
+    test_importing_pgk_and_its_cli_loads_no_scipy,
+    test_no_assert_statements_in_the_package,
+    test_no_environment_variable_is_read_in_the_package,
+    test_no_module_imports_scipy,
+    test_phi_and_divisors_come_from_the_factorization_in_hand,
+    test_separators_read_n_from_the_quotient,
+)
 
 composite = st.integers(min_value=2, max_value=3000).filter(
     lambda n: factorize(n).r >= 2
