@@ -17,7 +17,7 @@ the loop over every vertex pair on the full n-vertex network and against
 exhaustive removal of every vertex subset at small n.
 
 The oracle's one size limit is ``MAX_ELEMENT_N``; nothing lifts it. On a
-2-CPU x86 machine the slowest n measured below it, 4620, takes about 0.9 s.
+2-CPU x86 machine the slowest n measured below it, 4620, takes 0.5-0.7 s.
 """
 
 from __future__ import annotations
@@ -29,10 +29,15 @@ from .connectivity import KappaResult
 #: The only limit on n. The dense n x n boolean matrices of the adjacency
 #: build set the peak memory, and the pair flows, one per non-adjacent pair
 #: of twin classes, most of the time where n has many divisors. On a 2-CPU
-#: x86 machine: n = 1200 takes 0.07 s and 31 MB; 4620 and 4680 (47 twin
-#: classes) 0.85-1.0 s, about 0.5-0.6 s of it flows, and 70 MB; 5000 (two
-#: primes) 0.35 s and 76 MB.
+#: x86 machine: n = 1200 takes 0.06-0.08 s and 31 MB; 4620 and 4680 (47
+#: twin classes) 0.5-0.7 s, about 0.3 s of it flows, and 69-70 MB; 5000
+#: (two primes) 0.25-0.3 s and 76 MB.
 MAX_ELEMENT_N = 5000
+
+#: Index entries per block of the adjacency build. Small enough that a block's
+#: index arrays stay in cache and touch few fresh pages: 65536 took about four
+#: times the page faults of 4096 on a cold first call.
+_BLOCK_ENTRIES = 4096
 
 
 def element_adjacency(n: int) -> np.ndarray:
@@ -40,14 +45,19 @@ def element_adjacency(n: int) -> np.ndarray:
 
     Row y of the membership matrix is the cyclic subgroup generated by y,
     enumerated as the multiples k*y mod n; x ~ y iff one lies in the other's
-    subgroup.
+    subgroup. The rows are written a block at a time, as flat indices
+    y*n + (k*y mod n), at most ``_BLOCK_ENTRIES`` of them per block (one
+    whole row when a row is longer).
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     ks = np.arange(n)
-    members = np.zeros((n, n), dtype=bool)
-    for y in range(n):
-        members[y, (y * ks) % n] = True
+    rows = max(1, _BLOCK_ENTRIES // n)
+    members = np.zeros(n * n, dtype=bool)
+    for y0 in range(0, n, rows):
+        ys = np.arange(y0, min(y0 + rows, n))[:, None]
+        members[ys * n + ys * ks % n] = True
+    members = members.reshape(n, n)
     adj = members | members.T
     np.fill_diagonal(adj, False)
     return adj
@@ -59,36 +69,59 @@ def maximum_flow(caps: list[list[int]], arcs: list[list[int]], s: int, t: int) -
 
     ``caps[a][b]`` is the capacity of the arc a -> b, and ``arcs[a]`` lists
     every b with an arc a -> b or b -> a, the nodes a residual path can step
-    to from a. The residual capacities start as a copy of ``caps``; each
-    round a breadth-first search finds a shortest s-t path with residual
-    capacity left and pushes its bottleneck along it, until none is left.
+    to from a. The residual capacities start as a copy of ``caps``. Each
+    round a breadth-first search, level by level, grows a tree of shortest
+    residual paths from s until it reaches t at some depth L. Then, for every
+    node c of depth L - 1 with residual room into t, it pushes the bottleneck
+    of the tree path s .. c -> t, or skips the path if an earlier push of the
+    round left no room on it. Rounds go on until no path reaches t.
+
+    Every path pushed is a shortest augmenting path, so this is Edmonds-Karp
+    with several augmentations per search. Proof: the depth-(L - 1) level is
+    complete when the search stops, since it was built in full from level
+    L - 2. Each tree path to such a c has L - 1 arcs, so with c -> t it is
+    an s-t path of length L, the s-t distance when the round began. An
+    augmentation along a shortest path never shortens the s-t distance in
+    the residual network (the arcs it opens each run back to the depth
+    before), so the distance is still L at every later push of the round,
+    and a path of length L whose arcs all have room is again shortest.
+    Hence Edmonds-Karp's bound of O(V E) augmentations holds, and the flow
+    stops only when no augmenting path is left, at a maximum flow.
     """
     res = [row[:] for row in caps]
     value = 0
     while True:
         parent = [-1] * len(arcs)
         parent[s] = s
-        queue = [s]
-        for a in queue:
-            row = res[a]
-            for b in arcs[a]:
-                if row[b] and parent[b] < 0:
-                    parent[b] = a
-                    queue.append(b)
+        level = [s]
+        while level:
+            below = []
+            for a in level:
+                row = res[a]
+                for b in arcs[a]:
+                    if row[b] and parent[b] < 0:
+                        parent[b] = a
+                        below.append(b)
             if parent[t] >= 0:
                 break
+            level = below
         else:
             return value
-        path = []
-        b = t
-        while b != s:
-            path.append((parent[b], b))
-            b = parent[b]
-        push = min(res[a][b] for a, b in path)
-        for a, b in path:
-            res[a][b] -= push
-            res[b][a] += push
-        value += push
+        for c in level:
+            if not res[c][t]:
+                continue
+            path = [(c, t)]
+            b = c
+            while b != s:
+                path.append((parent[b], b))
+                b = parent[b]
+            push = min(res[a][b] for a, b in path)
+            if not push:
+                continue
+            for a, b in path:
+                res[a][b] -= push
+                res[b][a] += push
+            value += push
 
 
 def _twin_class_kappa(adj: np.ndarray) -> int:
@@ -126,18 +159,24 @@ def _twin_class_kappa(adj: np.ndarray) -> int:
         members.setdefault(row.tobytes(), []).append(x)
     first = [group[0] for group in members.values()]
     k = len(first)
-    linked = adj[np.ix_(first, first)]
-    us, vs = np.nonzero(np.triu(~linked, 1))
-    if len(us) == 0:
+    linked = adj[np.ix_(first, first)].tolist()
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k) if not linked[u][v]]
+    if not pairs:
         return n - 1
-    # the entry node of class i is i, its exit node k + i
+    # the entry node of class i is i, its exit node k + i; near holds i and
+    # the classes adjacent to i, so entry i steps only to the exits of near
+    # and exit k + i only to their entries, each list in ascending order
     caps = [[0] * (2 * k) for _ in range(2 * k)]
+    arcs = [[] for _ in range(2 * k)]
     for i, group in enumerate(members.values()):
+        near = [j for j in range(k) if j == i or linked[i][j]]
         caps[i][k + i] = len(group)
-    for i, j in np.argwhere(linked).tolist():
-        caps[k + i][j] = n
-    arcs = [[b for b in range(2 * k) if caps[a][b] or caps[b][a]] for a in range(2 * k)]
-    return min(maximum_flow(caps, arcs, k + u, v) for u, v in zip(us.tolist(), vs.tolist()))
+        for j in near:
+            if j != i:
+                caps[k + i][j] = n
+        arcs[i] = [k + j for j in near]
+        arcs[k + i] = near
+    return min(maximum_flow(caps, arcs, k + u, v) for u, v in pairs)
 
 
 def kappa_element_oracle(n: int) -> KappaResult:

@@ -11,6 +11,7 @@ compared against a third, external flow implementation: scipy's solver, one
 flow per pair on the same twin-class network.
 """
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +20,19 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from pgk import element_adjacency, element_oracle, kappa_element_oracle
-from pgk.element_oracle import MAX_ELEMENT_N, _twin_class_kappa
+from pgk.element_oracle import _BLOCK_ENTRIES, MAX_ELEMENT_N, _twin_class_kappa
+
+
+def adjacency_by_rows(n: int) -> np.ndarray:
+    """The reference for ``element_adjacency``: the membership matrix
+    written one row, one subgroup {k*y mod n}, at a time."""
+    ks = np.arange(n)
+    members = np.zeros((n, n), dtype=bool)
+    for y in range(n):
+        members[y, (y * ks) % n] = True
+    adj = members | members.T
+    np.fill_diagonal(adj, False)
+    return adj
 
 
 def _split_network(adj: np.ndarray) -> csr_matrix:
@@ -222,7 +235,9 @@ def test_each_pair_flow_runs_on_one_class_network(flow_calls, n):
 
 
 def test_pair_flows_equal_scipy_per_pair_flows(flow_calls):
-    for n in list(range(1, 121)) + [210, 270, 330]:
+    # 1500 and 4620 have the widest class networks below the ceiling (4620:
+    # 47 classes, augmenting paths of up to 17 arcs)
+    for n in list(range(1, 121)) + [210, 270, 330, 1500, 4620]:
         flow_calls.clear()
         adj = element_adjacency(n)
         _twin_class_kappa(adj)
@@ -243,6 +258,24 @@ def test_four_cycle_runs_two_flows_of_value_two(flow_calls):
     assert _twin_class_kappa(adj) == 2
     assert [len(args[0]) for args, _ in flow_calls] == [8, 8]
     assert pair_values(flow_calls) == [2, 2]
+
+
+def test_shortest_path_through_a_saturated_prefix_is_skipped():
+    # Node-split network of the path u - x - {y1, y2} - v, x of weight 1
+    # (entry node of vertex i is i, its exit node 5 + i). The search from
+    # exit(u) reaches entry(v) through exit(y1) and exit(y2), two shortest
+    # paths that share the prefix through x. The first push saturates x, so
+    # the second must be skipped, or the flow would count x twice.
+    weights = [1, 1, 5, 5, 1]
+    edges = [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]
+    caps = np.zeros((10, 10), dtype=np.int32)
+    for i, w in enumerate(weights):
+        caps[i, 5 + i] = w
+    for i, j in edges:
+        caps[5 + i, j] = caps[5 + j, i] = 13
+    arcs = [[b for b in range(10) if caps[a, b] or caps[b, a]] for a in range(10)]
+    expected = maximum_flow(csr_matrix(caps), 5, 4).flow_value
+    assert element_oracle.maximum_flow(caps.tolist(), arcs, 5, 4) == expected == 1
 
 
 def test_maximum_flow_matches_scipy_on_random_networks():
@@ -287,3 +320,26 @@ def test_adjacency_is_symmetric_irreflexive():
         assert not adj.diagonal().any()
         if n > 1:
             assert adj[0].sum() == n - 1  # identity joined to everyone
+
+
+def test_block_adjacency_equals_the_row_loop():
+    # n = 1..3; a last block that is partial (100 = 40 + 40 + 20 rows); the
+    # last n with two rows per block and the first with one; the ceiling
+    half = _BLOCK_ENTRIES // 2
+    rows = _BLOCK_ENTRIES // 100
+    assert 1 < rows < 100 and 100 % rows
+    for n in (1, 2, 3, 100, half, half + 1, 4620, 5000):
+        assert np.array_equal(element_adjacency(n), adjacency_by_rows(n)), n
+
+
+def test_adjacency_builds_no_product_table():
+    # the membership matrix and the symmetric closure are n^2 bytes each; a
+    # block size that built all n^2 products k*y at once would need 8 n^2
+    n = MAX_ELEMENT_N
+    tracemalloc.start()
+    try:
+        element_adjacency(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n + 2**20
