@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """A tour of the divisor-class model of P(C_n) and the two kappa routes.
 
-Walks through n = 36: the quotient graph, its weights, a pairwise minimum
-cut, and the agreement between the class-level computation, the element-level
+Walks through n = 36: the quotient graph, its weights, its minimum
+separators, and the agreement between the class-level computation, the element-level
 brute force, and the closed form.
 """
 
 from pgk import (
     build_quotient,
+    enumerate_min_separators,
     expand_to_elements,
     kappa_class,
     kappa_element_oracle,
     kappa_formula,
-    min_cut_between,
     subgroup_classes,
 )
 
@@ -32,9 +32,9 @@ print(f"incomparable divisor pairs: {pairs}")
 
 print(f"\nsubgroup of order 6 = classes {sorted(subgroup_classes(g, 6))}")
 
-weight, cut = min_cut_between(g, 4, 6)
-print(f"\ncheapest class set separating order-4 from order-6 elements:")
-print(f"  remove {sorted(cut)} at total weight {weight}")
+print("\nevery cheapest class set whose removal disconnects the graph:")
+for sep in enumerate_min_separators(g):
+    print(f"  {sep.label}: remove {sorted(sep.classes)} at total weight {sep.weight}")
 
 print("\nkappa three ways:")
 print(f"  weighted class cut : {kappa_class(g).kappa}")

@@ -10,7 +10,7 @@ tight flows of the class cut.
 """
 
 from .arith import Factorization, alpha_beta, divisors, factorize, totient
-from .connectivity import KappaResult, kappa_class, min_cut_between
+from .connectivity import KappaResult, kappa_class
 from .element_oracle import element_adjacency, kappa_element_oracle
 from .formulas import (
     CASE_I,
@@ -58,7 +58,6 @@ __all__ = [
     "KappaResult",
     "kappa_class",
     "kappa_element_oracle",
-    "min_cut_between",
     "element_adjacency",
     "CaseTag",
     "classify",

@@ -6,17 +6,18 @@ set whose removal disconnects the quotient graph. That minimum is computed
 exactly by node-splitting max-flows (each class an arc of capacity phi(d),
 adjacency arcs without capacity) from a few source classes to the classes
 not adjacent to them; ``kappa_class`` states the source rule and its proof.
-Each call builds one network for the quotient (``_ClassNet``): one Python
-int per class, the bitmask of the classes comparable to it, and no arc
-list. Every flow keeps its own residual state, and its BFS layers, DFS
-steps and cut closures are bit operations on those masks. Building it also
-weighs N(d), the classes comparable to d, for each d other than 1 and n;
-removing N(d) cuts d off, so the lightest of them seeds the running minimum
-and even the first flow stops one above it. A flow first charges the
-classes comparable to both endpoints, which lie in every separator, then
-saturates the paths u, a, b, v through two other classes greedily,
-largest divisors first, and runs an iterative Dinic from that flow on the
-rest; ``_ClassNet.flow`` proves the charge and the warm start.
+Each call builds one network for the quotient (``_ClassNet``) on the masks
+the quotient carries: one Python int per class, the bitmask of the classes
+comparable to it, and no arc list. Every flow keeps its own residual state,
+and its BFS layers, DFS steps and cut closures are bit operations on those
+masks. The quotient also weighs N(d), the classes comparable to d; for
+each d other than 1 and n removing N(d) cuts d off, so the lightest of
+them seeds the running minimum and even the first flow stops one above it.
+A flow first charges the classes comparable to both endpoints, which lie
+in every separator, then saturates the paths u, a, b, v through two other
+classes greedily, largest divisors first, and runs an iterative Dinic from
+that flow on the rest; ``_ClassNet.flow`` proves the charge and the warm
+start.
 The flows are plain Python and borrow nothing from the oracle's solver.
 Complete quotients (n = 1 or a prime power) have no non-adjacent pair and
 kappa = n - 1 by convention, kappa(P(C_1)) = 0 included.
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .quotient import QuotientGraph
+from .quotient import QuotientGraph, _union
 
 
 @dataclass(frozen=True)
@@ -43,16 +44,6 @@ class KappaResult:
     n: int
     kappa: int
     method: str  # "class-cut" | "element-oracle"
-
-
-def _union(masks: list[int], m: int) -> int:
-    # the OR of masks[i] over the set bits i of m
-    acc = 0
-    while m:
-        low = m & -m
-        acc |= masks[low.bit_length() - 1]
-        m ^= low
-    return acc
 
 
 def _closure(arcs: tuple, xs: int, es: int, closed: tuple[int, int] = (0, 0)) -> tuple[int, int]:
@@ -89,10 +80,11 @@ class _ClassNet:
     arc i of capacity phi(d); comparable classes are joined exit to entry,
     both ways, by adjacency arcs with no capacity at all. Node sets are
     bitmasks over the divisor indices, one for entries and one for exits:
-    bit j of ``comp[i]`` is set iff d_i and d_j are comparable, so
-    ``comp[i]`` lists both the entries that exit(i) leads to and the exits
-    that lead to entry(i). Each flow keeps its own residual state, so the
-    states of several flows can be kept side by side. Callers name divisors
+    ``comp`` is the quotient's ``comparable``, bit j of ``comp[i]`` set iff
+    d_i and d_j are comparable, so ``comp[i]`` lists both the entries that
+    exit(i) leads to and the exits that lead to entry(i). Each flow keeps
+    its own residual state, so the states of several flows can be kept side
+    by side. Callers name divisors
     only; the indices stay inside this class. The quotient's invariants hold:
     divisors ascend from 1 to n, and every class arc has positive capacity.
 
@@ -110,9 +102,10 @@ class _ClassNet:
     up front, are one mask too: ``comp[x] & comp[y]``.
 
     ``isolation`` is the least w(N(d)) over 1 < d < n, N(d) being the
-    classes comparable to d (d itself left out); the weight of every class
-    when there is no such d. Lemma: unless the quotient is complete, each
-    such N(d) is a separator, so kappa <= isolation. Proof: n then has two
+    classes comparable to d (d itself left out), read from the quotient's
+    ``near``; the weight of every class when there is no such d. Lemma:
+    unless the quotient is complete, each such N(d) is a separator, so
+    kappa <= isolation. Proof: n then has two
     primes. As d != n, some prime p has a smaller exponent in d than in n;
     as d != 1, some prime q divides d. If p != q can be chosen, p^(e_p) and
     d divide neither one the other. Otherwise p is the only prime of d and
@@ -124,19 +117,9 @@ class _ClassNet:
 
     def __init__(self, g: QuotientGraph) -> None:
         self.g = g
-        ds, ws = g.divisors, g.weights
-        comp = [0] * len(ds)
-        near = [0] * len(ds)  # near[i] = w(N(ds[i]))
-        for i, d in enumerate(ds):
-            for j in range(i + 1, len(ds)):
-                if ds[j] % d == 0:
-                    comp[i] |= 1 << j
-                    comp[j] |= 1 << i
-                    near[i] += ws[j]
-                    near[j] += ws[i]
-        self.comp = comp
-        self.full = (1 << len(ds)) - 1
-        self.isolation = min(near[1:-1], default=sum(ws))
+        self.comp = g.comparable
+        self.full = (1 << len(g.divisors)) - 1
+        self.isolation = min(g.near[1:-1], default=sum(g.weights))
 
     def flow(self, u: int, v: int, limit: int | None = None) -> tuple[int, _Flow]:
         """Max flow from exit(u) to entry(v), with its residual state.
@@ -362,32 +345,12 @@ class _ClassNet:
             free_x = self.full & ~(side[0] | other[0])
             free_e = self.full & ~(side[1] | other[1])
             if not free_x | free_e:
-                cut = side[1] & ~side[0]
-                yield frozenset(d for i, d in enumerate(g.divisors) if cut >> i & 1)
+                yield g.classes(side[1] & ~side[0])
                 continue
             low_x, low_e = free_x & -free_x, free_e & -free_e
             node = (0, low_e) if low_e and (not low_x or low_e <= low_x) else (low_x, 0)
             stack.append((_closure(forward, *node, side), other))
             stack.append((side, _closure(backward, *node, other)))
-
-
-def min_cut_between(g: QuotientGraph, u: int, v: int) -> tuple[int, frozenset[int]]:
-    """Minimum-weight class set separating u from v, with its weight.
-
-    u and v must be distinct non-adjacent divisors; neither belongs to the
-    returned cut. The cut is recovered from the residual network, so it is a
-    genuine certificate: deleting it leaves no u-v path.
-    """
-    if u == v:
-        raise ValueError("cut endpoints must be distinct")
-    if g.adjacent(u, v):
-        raise ValueError(f"classes {u} and {v} are adjacent; no vertex cut separates them")
-    net = _ClassNet(g)
-    weight, st = net.flow(u, v)
-    cut = next(net.cuts(st, u, v))
-    if weight != sum(g.weight(d) for d in cut):
-        raise RuntimeError(f"cut {sorted(cut)} does not weigh the flow value {weight}")
-    return weight, cut
 
 
 def _source_flows(net: _ClassNet) -> Iterator[tuple[int, int, _Flow, int]]:

@@ -12,7 +12,10 @@ disconnecting set always consists of whole order classes -- which is what
 makes connectivity questions tractable at class level. build_quotient factors
 n once; the quotient keeps that Factorization as ``f`` beside the weights phi(d).
 Every QuotientGraph, a hand-built one with other positive weights included,
-checks when it is built that it has this shape.
+checks when it is built that it has this shape, and then compares every
+pair of divisors once: ``comparable[i]`` is the bitmask of the classes
+joined to class i, the one home of the divisibility relation that the
+adjacency test, the subgroup and component scans and the class cut all read.
 
 QuotientGraph is immutable after construction and safe to share across
 threads.
@@ -20,10 +23,10 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, prod
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .arith import Factorization, factorize
 
@@ -37,11 +40,18 @@ class QuotientGraph:
     divisor. The class route relies on this unchecked: ``_source_flows`` and
     ``_ClassNet.isolation`` read 1 first and n last, and the flows need
     positive weights.
+
+    Then one pass over the divisor pairs fills two tuples, indexed like
+    ``divisors``: bit j of ``comparable[i]`` is set iff d_i != d_j and one
+    divides the other, and ``near[i]`` is w(N(d_i)), the weight of those
+    classes. They follow from the fields above, so equality ignores them.
     """
 
     f: Factorization
     divisors: tuple[int, ...]
     weights: tuple[int, ...]
+    comparable: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    near: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n, ds, ws = self.f.n, self.divisors, self.weights
@@ -51,6 +61,17 @@ class QuotientGraph:
             raise ValueError(f"divisors must be every divisor of {n}, in ascending order")
         if len(ws) != tau or set(map(type, ws)) != {int} or min(ws) < 1:
             raise ValueError(f"weights must be {tau} positive ints, one per divisor")
+        comp = [0] * tau
+        near = [0] * tau
+        for i, d in enumerate(ds):
+            for j in range(i + 1, tau):
+                if ds[j] % d == 0:
+                    comp[i] |= 1 << j
+                    comp[j] |= 1 << i
+                    near[i] += ws[j]
+                    near[j] += ws[i]
+        object.__setattr__(self, "comparable", tuple(comp))
+        object.__setattr__(self, "near", tuple(near))
 
     @property
     def n(self) -> int:
@@ -72,9 +93,11 @@ class QuotientGraph:
 
     def adjacent(self, d: int, e: int) -> bool:
         """True iff the classes of d and e are joined: d != e and one divides the other."""
-        self.index(d)
-        self.index(e)
-        return d != e and (e % d == 0 or d % e == 0)
+        return bool(self.comparable[self.index(d)] >> self.index(e) & 1)
+
+    def classes(self, mask: int) -> frozenset[int]:
+        """The divisors at the set bits of mask, a mask over divisor indices."""
+        return frozenset(d for i, d in enumerate(self.divisors) if mask >> i & 1)
 
     @property
     def is_complete(self) -> bool:
@@ -91,10 +114,11 @@ def build_quotient(n: int) -> QuotientGraph:
 def subgroup_classes(g: QuotientGraph, d: int) -> frozenset[int]:
     """Divisor classes making up the unique subgroup of order d: all e | d.
 
-    The class weights over the result sum to d, the subgroup's size.
+    These are d and the classes below d comparable to it. The class weights
+    over the result sum to d, the subgroup's size.
     """
-    g.weight(d)  # raises unless d divides n
-    return frozenset(e for e in g.divisors if d % e == 0)
+    i = g.index(d)
+    return g.classes(g.comparable[i] & ((1 << i) - 1) | 1 << i)
 
 
 def expand_to_elements(n: int, classes: Iterable[int]) -> frozenset[int]:
@@ -109,26 +133,28 @@ def expand_to_elements(n: int, classes: Iterable[int]) -> frozenset[int]:
 def components_without(g: QuotientGraph, removed: Iterable[int]) -> list[frozenset[int]]:
     """Connected components of the quotient after deleting the given classes.
 
-    Components are returned sorted by their smallest divisor.
+    Components are returned sorted by their smallest divisor: each search
+    starts from the lowest class not yet reached.
     """
-    gone = set(removed)
-    for d in gone:
-        g.weight(d)  # raises unless d divides n
-    survivors = [d for d in g.divisors if d not in gone]
+    unseen = (1 << len(g.divisors)) - 1
+    for d in removed:
+        unseen &= ~(1 << g.index(d))  # raises unless d divides n
     components: list[frozenset[int]] = []
-    unseen = set(survivors)
-    for start in survivors:
-        if start not in unseen:
-            continue
-        stack = [start]
-        unseen.discard(start)
-        comp = {start}
-        while stack:
-            d = stack.pop()
-            for e in list(unseen):
-                if e % d == 0 or d % e == 0:
-                    unseen.discard(e)
-                    comp.add(e)
-                    stack.append(e)
-        components.append(frozenset(comp))
-    return sorted(components, key=min)
+    while unseen:
+        comp = front = unseen & -unseen
+        while front:
+            front = _union(g.comparable, front) & unseen & ~comp
+            comp |= front
+        unseen ^= comp
+        components.append(g.classes(comp))
+    return components
+
+
+def _union(masks: Sequence[int], m: int) -> int:
+    # the OR of masks[i] over the set bits i of m
+    acc = 0
+    while m:
+        low = m & -m
+        acc |= masks[low.bit_length() - 1]
+        m ^= low
+    return acc

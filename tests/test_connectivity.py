@@ -18,7 +18,6 @@ from pgk import (
     factorize,
     kappa_class,
     kappa_element_oracle,
-    min_cut_between,
     totient,
     upper_bound_ii,
 )
@@ -26,7 +25,7 @@ from pgk import connectivity
 from pgk.cli import main
 from pgk.connectivity import _ClassNet, min_cuts
 
-from test_quotient import non_adjacent_pairs
+from test_quotient import non_adjacent_pairs, reference_components_without
 
 
 @pytest.mark.parametrize(
@@ -426,10 +425,8 @@ def test_one_network_per_quotient(monkeypatch, capsys, n):
     g = build_quotient(n)
     kappa_class(g)
     min_cuts(g)
-    u, v = non_adjacent_pairs(g)[0]
-    min_cut_between(g, u, v)
     assert main(["separators", str(n), "--all-min"]) == 0
-    assert built == [n, n, n, n]
+    assert built == [n, n, n]
 
 
 def test_flows_on_one_network_keep_their_residuals():
@@ -548,8 +545,9 @@ def test_source_rule_flow_counts(monkeypatch):
 
 
 def comparable_classes(g, d):
-    """N(d): the classes other than d that divide or are divided by d."""
-    return frozenset(c for c in g.divisors if g.adjacent(c, d))
+    """N(d): the classes other than d that divide or are divided by d, by
+    divisibility alone, not by the quotient's masks that the seed reads."""
+    return frozenset(c for c in g.divisors if c != d and (d % c == 0 or c % d == 0))
 
 
 def check_seed_certificate(g):
@@ -621,31 +619,26 @@ def test_source_rule_matches_all_pairs_without_closed_form():
 )
 def test_min_cut_between_known(n, u, v, weight, cut):
     g = build_quotient(n)
-    got_weight, got_cut = min_cut_between(g, u, v)
+    net = _ClassNet(g)
+    got_weight, st = net.flow(u, v)
     assert got_weight == weight
-    assert got_cut == frozenset(cut)
-    assert got_weight == sum(g.weight(d) for d in got_cut)
+    assert set(net.cuts(st, u, v)) == {frozenset(cut)}
+    assert got_weight == sum(g.weight(d) for d in cut)
 
 
 def test_min_cut_certificate_separates_endpoints():
     for n in (30, 36, 60, 90, 210):
         g = build_quotient(n)
+        net = _ClassNet(g)
+        kappa = kappa_class(g).kappa
         for u, v in non_adjacent_pairs(g):
-            weight, cut = min_cut_between(g, u, v)
-            comps = components_without(g, cut)
-            comp_of_u = next(c for c in comps if u in c)
-            assert v not in comp_of_u, (n, u, v)
-            assert weight >= kappa_class(g).kappa
-
-
-def test_min_cut_rejects_bad_pairs():
-    g = build_quotient(12)
-    with pytest.raises(ValueError):
-        min_cut_between(g, 2, 4)  # adjacent
-    with pytest.raises(ValueError):
-        min_cut_between(g, 3, 3)  # equal
-    with pytest.raises(ValueError):
-        min_cut_between(g, 5, 6)  # not a divisor
+            weight, st = net.flow(u, v)
+            for cut in net.cuts(st, u, v):
+                assert weight == sum(g.weight(d) for d in cut), (n, u, v)
+                comps = reference_components_without(g, cut)
+                comp_of_u = next(c for c in comps if u in c)
+                assert v not in comp_of_u, (n, u, v)
+            assert weight >= kappa
 
 
 def test_kappa_lower_bound_above_universal_vertices():

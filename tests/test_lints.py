@@ -1,9 +1,10 @@
 """Lints on src/pgk: no asserts (in demos/ either), no environment variables,
 an element oracle independent of the class route, a class route that imports
 only the quotient and no numeric library, a separation check that calls
-nothing of the class cut, a package that never loads scipy (nor, on import,
-the process pool), n factored in one place per command, each input rule
-checked in one place, and an ``__all__`` that matches the package."""
+nothing of the class cut, a witness check that reads divisibility alone, a
+package that never loads scipy (nor, on import, the process pool), n
+factored in one place per command, each input rule checked in one place,
+and an ``__all__`` that matches the package."""
 
 import ast
 import os
@@ -154,6 +155,17 @@ def test_the_separation_check_shares_no_code_with_the_class_cut():
     calls = calls_by_definition("separators.py")
     for name in ("witness_problems", "check_disconnects"):
         assert calls[name] and not set(calls[name]) & from_cut, name
+
+
+def test_the_witness_check_reads_divisibility_alone():
+    # the quotient's masks feed the flows, the components and the seed, so
+    # the check that certifies their answers tests divisibility itself and
+    # never reads a mask or anything built on one
+    tree = ast.parse((SRC / "separators.py").read_text(encoding="utf-8"))
+    check = next(node for node in tree.body if getattr(node, "name", None) == "witness_problems")
+    names = {getattr(node, k, None) for node in ast.walk(check) for k in ("id", "attr")}
+    assert not names & {"comparable", "near", "classes", "adjacent", "components_without"}
+    assert any(isinstance(node, ast.Mod) for node in ast.walk(check))
 
 
 def top_level_imports(path):

@@ -11,19 +11,17 @@ from pgk import (
     QuotientGraph,
     build_quotient,
     build_Z,
-    components_without,
     enumerate_min_separators,
     factorize,
     kappa_class,
-    min_cut_between,
     size_Z_formula,
     witness_problems,
 )
-from pgk.connectivity import min_cuts
+from pgk.connectivity import _ClassNet, min_cuts
 
 from test_connectivity import arc_source_rule
 from test_formulas import check_against_printed
-from test_quotient import non_adjacent_pairs
+from test_quotient import non_adjacent_pairs, reference_components_without, reference_masks
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -97,10 +95,12 @@ def test_min_cut_between_disconnects(n, data):
     g = build_quotient(n)
     pairs = non_adjacent_pairs(g)
     u, v = data.draw(st.sampled_from(pairs))
-    weight, cut = min_cut_between(g, u, v)
-    assert weight == sum(g.weight(d) for d in cut)
-    comps = components_without(g, cut)
-    assert next(c for c in comps if u in c) != next(c for c in comps if v in c)
+    net = _ClassNet(g)
+    weight, res = net.flow(u, v)
+    for cut in net.cuts(res, u, v):
+        assert weight == sum(g.weight(d) for d in cut)
+        comps = reference_components_without(g, cut)
+        assert next(c for c in comps if u in c) != next(c for c in comps if v in c)
 
 
 @settings(max_examples=200, deadline=None)
@@ -117,6 +117,7 @@ def test_hand_weights_match_the_arc_net(n, data):
         g.divisors,
         tuple(data.draw(st.lists(weights, min_size=len(g.divisors), max_size=len(g.divisors)))),
     )
+    assert (hand.comparable, hand.near) == reference_masks(hand)
     assert (kappa_class(hand).kappa, min_cuts(hand)) == arc_source_rule(hand)
 
 
@@ -127,7 +128,7 @@ def test_kappa_at_most_the_minimum_degree(n):
     # element of a comparable order
     g = build_quotient(n)
     degree = min(
-        w - 1 + sum(g.weight(e) for e in g.divisors if g.adjacent(d, e))
+        w - 1 + sum(g.weight(e) for e in g.divisors if e != d and (d % e == 0 or e % d == 0))
         for d, w in zip(g.divisors, g.weights)
     )
     assert kappa_class(g).kappa <= degree

@@ -1,6 +1,7 @@
 """Divisor-class quotient: structure, subgroup sets, element expansion, blow-up."""
 
 import math
+import random
 from itertools import combinations
 
 import numpy as np
@@ -23,6 +24,46 @@ def non_adjacent_pairs(g):
     """Reference: every incomparable divisor pair (u, v) with u < v, in
     lexicographic order."""
     return [(u, v) for i, u in enumerate(g.divisors) for v in g.divisors[i + 1 :] if v % u]
+
+
+def reference_masks(g):
+    """Reference: the divisor pair loop, as the class cut once ran it,
+    giving (comparable, near) as tuples."""
+    ds, ws = g.divisors, g.weights
+    comp = [0] * len(ds)
+    near = [0] * len(ds)
+    for i, d in enumerate(ds):
+        for j in range(i + 1, len(ds)):
+            if ds[j] % d == 0:
+                comp[i] |= 1 << j
+                comp[j] |= 1 << i
+                near[i] += ws[j]
+                near[j] += ws[i]
+    return tuple(comp), tuple(near)
+
+
+def reference_components_without(g, removed):
+    """Reference: the components left after deleting removed, by a scan of
+    the unseen divisor set from each class reached, sorted by least divisor."""
+    gone = set(removed)
+    survivors = [d for d in g.divisors if d not in gone]
+    components = []
+    unseen = set(survivors)
+    for start in survivors:
+        if start not in unseen:
+            continue
+        stack = [start]
+        unseen.discard(start)
+        comp = {start}
+        while stack:
+            d = stack.pop()
+            for e in list(unseen):
+                if e % d == 0 or d % e == 0:
+                    unseen.discard(e)
+                    comp.add(e)
+                    stack.append(e)
+        components.append(frozenset(comp))
+    return sorted(components, key=min)
 
 
 def test_quotient_6():
@@ -167,6 +208,47 @@ def test_components_without():
     comps = components_without(g, {1, 2, 12})
     assert comps == [frozenset({3, 6}), frozenset({4})]
     assert components_without(g, set()) == [frozenset({1, 2, 3, 4, 6, 12})]
+
+
+def test_masks_match_the_pair_loop_up_to_500():
+    for n in range(1, 501):
+        g = build_quotient(n)
+        assert (g.comparable, g.near) == reference_masks(g), n
+
+
+def test_masks_follow_the_weights_and_not_equality():
+    g = build_quotient(12)
+    hand = QuotientGraph(g.f, g.divisors, (5, 4, 4, 3, 4, 3))
+    assert (hand.comparable, hand.near) == reference_masks(hand)
+    assert hand.comparable == g.comparable and hand.near != g.near
+    assert hand != g and QuotientGraph(g.f, g.divisors, g.weights) == g
+    assert repr(g) == f"QuotientGraph(f={g.f!r}, divisors={g.divisors!r}, weights={g.weights!r})"
+
+
+def test_components_without_matches_the_set_scan_up_to_200():
+    rng = random.Random(200)
+    for n in range(1, 201):
+        g = build_quotient(n)
+        for _ in range(8):
+            removed = rng.sample(g.divisors, rng.randint(0, len(g.divisors)))
+            assert components_without(g, removed) == reference_components_without(g, removed), (
+                n,
+                removed,
+            )
+
+
+def test_components_without_rejects_non_divisors():
+    with pytest.raises(ValueError, match="^5 does not divide 12$"):
+        components_without(build_quotient(12), {1, 5})
+
+
+def test_subgroup_classes_weigh_their_order_up_to_500():
+    for n in range(1, 501):
+        g = build_quotient(n)
+        for d in g.divisors:
+            classes = subgroup_classes(g, d)
+            assert classes == {e for e in g.divisors if d % e == 0}, (n, d)
+            assert sum(map(g.weight, classes)) == d, (n, d)
 
 
 def test_blowup_reconstructs_power_graph():
