@@ -320,16 +320,29 @@ class _ClassNet:
 
         The residual-closed node sets holding u's exit and not v's entry are
         exactly the source sides of the minimum cuts (Picard and Queyranne
-        1980). A side is an (exits, entries) pair of masks. Start from the
-        forward closure of the source and the backward closure of the sink,
-        then branch on a free node a, the first of entry(0), exit(0),
-        entry(1), ... on neither side: put its forward closure on the source
-        side, or its backward closure on the sink side. Both branches always
-        succeed, because a closed side cannot reach (or be reached from) a
-        free node, so every leaf is a distinct cut and the delay is
-        polynomial. The sink-side branch is taken first, so the first cut is
-        the one cut by the residual closure of u. The classes of a cut are
-        those whose entry is on the source side and whose exit is not. The
+        1980). A side is an (exits, entries) pair of masks. The classes of a
+        cut are those whose entry is on the source side and whose exit is
+        not, so the source's own class x and the sink's y are in no cut.
+        Start from the forward closure of exit(x) and entry(x) and the
+        backward closure of entry(y) and exit(y), then branch on a free node
+        on neither side, the lowest free entry or, with none left, the
+        lowest free exit: put its forward closure on the source side, or its
+        backward closure on the sink side. Both branches always succeed,
+        because a closed side cannot reach (or be reached from) a free node,
+        so every leaf is a cut and the delay is polynomial. The sink-side
+        branch is taken first, so the first cut is the one cut by the
+        residual closure of u.
+
+        Seeding entry(x) and exit(y) loses no cut. No flow enters entry(x)
+        or leaves exit(y): the warm start's middle classes a and b lie in
+        ``comp[x]`` or ``comp[y]``, which hold neither x nor y; in Dinic
+        entry(x) is a dead end, since exit(x) is only in layer 0 and
+        ``back[x]`` stays 0; and the DFS never goes past the sink. So the
+        closure of entry(x) adds only exit(x), that of exit(y) only
+        entry(y); both seeds stay closed and disjoint, and moving either
+        node to the other side of a closed side leaves it closed and its
+        class set unchanged: branching on them would only repeat cuts.
+        That the class sets of all leaves differ is not proven. The
         backward closures read ``amt`` by its tails, a view built per call.
         """
         g = self.g
@@ -339,7 +352,7 @@ class _ClassNet:
             fwd[i] |= 1 << j
         forward = (st.fbits, self.comp, st.avail, st.back)  # the residual arcs
         backward = (st.avail, fwd, st.fbits, self.comp)  # the same, reversed
-        stack = [(_closure(forward, 1 << x, 0), _closure(backward, 0, 1 << y))]
+        stack = [(_closure(forward, 1 << x, 1 << x), _closure(backward, 1 << y, 1 << y))]
         while stack:
             side, other = stack.pop()
             free_x = self.full & ~(side[0] | other[0])
@@ -348,7 +361,7 @@ class _ClassNet:
                 yield g.classes(side[1] & ~side[0])
                 continue
             low_x, low_e = free_x & -free_x, free_e & -free_e
-            node = (0, low_e) if low_e and (not low_x or low_e <= low_x) else (low_x, 0)
+            node = (0, low_e) if low_e else (low_x, 0)
             stack.append((_closure(forward, *node, side), other))
             stack.append((side, _closure(backward, *node, other)))
 
@@ -373,8 +386,9 @@ def _source_flows(net: _ClassNet) -> Iterator[tuple[int, int, _Flow, int]]:
     visited = 0
     for i in order:
         x = ds[i]
-        for v in ds:
-            if v % x and x % v:
+        near = net.comp[i] | 1 << i  # x and its comparable classes; the sinks are the rest
+        for j, v in enumerate(ds):
+            if not near >> j & 1:
                 w, st = net.flow(x, v, limit=best + 1)
                 yield x, v, st, w
                 best = min(best, w)
@@ -418,23 +432,22 @@ def kappa_class(g: QuotientGraph) -> KappaResult:
 def min_cuts(g: QuotientGraph) -> tuple[int, set[frozenset[int]]]:
     """kappa and every minimum x-v cut over the source rule's pairs, in one pass.
 
-    Runs the flows of ``kappa_class`` once on one network, keeps the
-    residual states of the flows that tie the running minimum (dropping them
-    when it falls), and lists the classes of every minimum cut
-    (``_ClassNet.cuts``) of the flows left at the end, whose value is kappa.
-    The running minimum starts at the seed, as in ``kappa_class``.
+    Runs the flows of ``kappa_class`` once on one network and keeps no
+    residual state: each flow that ties the running minimum adds the classes
+    of every one of its minimum cuts (``_ClassNet.cuts``) to the set at
+    once, and a flow that lowers the minimum empties the set first, so the
+    set left at the end is the cuts of the flows whose value is kappa. The
+    running minimum starts at the seed, as in ``kappa_class``.
     """
     if g.is_complete:
         raise ValueError("complete quotient has no separator; kappa = n - 1")
     net = _ClassNet(g)
-    best = net.isolation
-    tight: list[tuple[int, int, _Flow]] = []
+    best, cuts = net.isolation, set()
     for x, v, st, w in _source_flows(net):
         if w < best:
-            best, tight = w, []
+            best, cuts = w, set()
         if w == best:
-            tight.append((x, v, st))
-    if not tight:
+            cuts.update(net.cuts(st, x, v))
+    if not cuts:
         raise RuntimeError(f"n={g.n}: no flow of the source rule reached the minimum {best}")
-    cuts = {cut for x, v, st in tight for cut in net.cuts(st, x, v)}
     return best, cuts

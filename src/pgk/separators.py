@@ -191,7 +191,9 @@ def enumerate_min_separators(g: QuotientGraph) -> list[ClassSeparator]:
     are exactly the residual-closed source sides of one max flow (Picard
     and Queyranne 1980). Conversely each such cut weighs kappa and
     separates x from v. So the cuts of the flows that tie best at the end,
-    deduplicated, are the minimum separators.
+    deduplicated across flows, are the minimum separators. ``min_cuts``
+    gathers them as the flows run, emptying its set whenever best falls, so
+    a flow that tied an earlier, higher best leaves nothing behind.
     """
     kappa, found = min_cuts(g)
     layers = [build_Z(g, k) for k in range(g.f.exponents[-1])]

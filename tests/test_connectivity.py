@@ -23,7 +23,7 @@ from pgk import (
 )
 from pgk import connectivity
 from pgk.cli import main
-from pgk.connectivity import _ClassNet, min_cuts
+from pgk.connectivity import _ClassNet, _source_flows, min_cuts
 
 from test_quotient import non_adjacent_pairs, reference_components_without
 
@@ -520,6 +520,35 @@ def test_seeded_source_rule_matches_the_unseeded_one_up_to_1500():
         want = unseeded_min_cuts(g)
         assert kappa_class(g).kappa == want[0], n
         assert min_cuts(g) == want, n
+
+
+def tight_cut_lists(n):
+    """The cuts that ``_ClassNet.cuts`` yields, as a list per flow, for each
+    flow of the source rule that ties kappa."""
+    g = build_quotient(n)
+    net = _ClassNet(g)
+    best, tight = net.isolation, []
+    for x, v, st, w in _source_flows(net):
+        if w < best:
+            best, tight = w, []
+        if w == best:
+            tight.append((x, v, st))
+    return [list(net.cuts(st, x, v)) for x, v, st in tight]
+
+
+def test_each_tight_flow_yields_each_cut_once():
+    # either side for entry(x) or exit(y) gives the same class set, so cuts
+    # seeds them and never branches on them; over these n that leaves no
+    # repeat at all
+    ns = [n for n in range(2, 3001) if not build_quotient(n).is_complete]
+    leaves = 0
+    for n in ns + [7854, 8970, 720720, 21621600]:
+        for cuts in tight_cut_lists(n):
+            assert len(cuts) == len(set(cuts)), n
+            leaves += len(cuts)
+    assert leaves == 2846
+    pinned = {36: 3, 1944: 15, 2310: 1, 720720: 1, 7854: 2}
+    assert {n: sum(map(len, tight_cut_lists(n))) for n in pinned} == pinned
 
 
 def test_source_rule_flow_counts(monkeypatch):

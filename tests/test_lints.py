@@ -1,10 +1,10 @@
 """Lints on src/pgk: no asserts (in demos/ either), no environment variables,
 an element oracle independent of the class route, a class route that imports
-only the quotient and no numeric library, a separation check that calls
-nothing of the class cut, a witness check that reads divisibility alone, a
-package that never loads scipy (nor, on import, the process pool), n
-factored in one place per command, each input rule checked in one place,
-and an ``__all__`` that matches the package."""
+only the quotient and no numeric library and takes no modulo, a separation
+check that calls nothing of the class cut, a witness check that reads
+divisibility alone, a package that never loads scipy (nor, on import, the
+process pool), n factored in one place per command, each input rule checked
+in one place, and an ``__all__`` that matches the package."""
 
 import ast
 import os
@@ -140,6 +140,17 @@ def test_class_route_imports_only_the_quotient():
     # the class cut computes kappa only; the case label is the report's
     imported = pgk_imports("connectivity.py")
     assert imported and all(name.startswith(".quotient.") for name in imported)
+
+
+def test_the_class_route_takes_no_modulo():
+    # the quotient's comparable masks are the one home of divisibility for
+    # the class cut, so connectivity.py reads its sinks from them and never
+    # tests divisibility itself
+    tree = ast.parse((SRC / "connectivity.py").read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    assert not any(isinstance(node, ast.Mod) for node in nodes)
+    names = {getattr(node, k, None) for node in nodes for k in ("id", "attr", "value")}
+    assert "__mod__" not in names
 
 
 def test_the_separation_check_shares_no_code_with_the_class_cut():
