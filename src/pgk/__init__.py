@@ -20,6 +20,7 @@ from .formulas import (
     R3_EXACT,
     CaseTag,
     classify,
+    closed_forms,
     kappa_formula,
     size_Z_formula,
     upper_bound_ii,
@@ -61,6 +62,7 @@ __all__ = [
     "element_adjacency",
     "CaseTag",
     "classify",
+    "closed_forms",
     "kappa_formula",
     "size_Z_formula",
     "upper_bound_ii",

@@ -79,13 +79,19 @@ class Factorization:
     def divisor_classes(self) -> list[tuple[int, int]]:
         """Every divisor d of n with phi(d), the size of its order class, by d.
 
-        phi is multiplicative, so the pairs are built prime by prime.
+        phi is multiplicative, so the pairs are built prime by prime: each
+        level d * p^k, k = 1..e, multiplies the one below by p and its phi by
+        p - 1 for k = 1 and by p after that.
         """
         classes = [(1, 1)]
         for p, e in self.factors:
-            powers = [(p**k, p ** (k - 1) * (p - 1) if k else 1) for k in range(e + 1)]
-            classes = [(d * q, w * v) for d, w in classes for q, v in powers]
-        return sorted(classes)
+            level, step = classes, p - 1
+            for _ in range(e):
+                level = [(d * p, w * step) for d, w in level]
+                classes += level
+                step = p
+        classes.sort()
+        return classes
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 from .arith import factorize
 from .connectivity import kappa_class
 from .element_oracle import MAX_ELEMENT_N, kappa_element_oracle
-from .formulas import R3_EXACT, classify, kappa_formula, upper_bound_ii
+from .formulas import R3_EXACT, closed_forms, upper_bound_ii
 from .quotient import build_quotient
 from .separators import (
     ClassSeparator, check_disconnects, enumerate_min_separators, example_2310, optimal_Z,
@@ -83,8 +83,8 @@ class Report:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def csv_row(self) -> list[str]:
-        values = {**self.to_dict(), "r": self.r, "ms": round(self.ms, 3)}
-        return [_csv_cell(values[column]) for column in CSV_COLUMNS]
+        cells = {"n_min_separators": None, "ms": round(self.ms, 3)}
+        return [_csv_cell(cells[c] if c in cells else getattr(self, c)) for c in CSV_COLUMNS]
 
 
 def _csv_cell(value) -> str:
@@ -99,8 +99,7 @@ def build_report(n: int, *, use_element: bool = False) -> Report:
     """Compute everything known about n and package the agreement verdict."""
     start = time.perf_counter()
     g = build_quotient(n)
-    formula = kappa_formula(g.f)
-    bound = upper_bound_ii(g.f)
+    c, formula, bound = closed_forms(g.f)
     computed = kappa_class(g).kappa
     element = kappa_element_oracle(n).kappa if use_element else None
     agreement = (
@@ -112,7 +111,7 @@ def build_report(n: int, *, use_element: bool = False) -> Report:
     return Report(
         n=n,
         factorization=g.f.factors,
-        case=classify(g.f).tag,
+        case=c.tag,
         kappa_computed=computed,
         kappa_formula=formula,
         kappa_element=element,
@@ -243,8 +242,7 @@ def cmd_separators(args: SimpleNamespace) -> int:
 def cmd_bound(args: SimpleNamespace) -> int:
     n = args.n
     f = factorize(n)
-    c = classify(f)
-    bound = upper_bound_ii(f)
+    c, _, bound = closed_forms(f)
     if bound is None:
         evidence = f"{c.tag} (P={c.P}, phi(P)={c.phiP})"
         print(f"error: the upper bound needs 2*phi(P) < P; n={n} is {evidence}", file=sys.stderr)

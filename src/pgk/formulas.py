@@ -26,6 +26,10 @@ kappa = n - 1). The bound |Z(r, 0)| equals the case-i expression
 |Z(r, e_r - 1)| when e_r = 1 and is exact when r = 3. It can be strict: at
 n = 2310 the true connectivity is phi(n) + 150 while the bound gives
 phi(n) + 162.
+
+closed_forms gives the case, the exact value and the bound of one n from a
+single classification and at most one evaluation of |Z|; kappa_formula and
+upper_bound_ii read their value from it.
 """
 
 from __future__ import annotations
@@ -73,6 +77,8 @@ def best_layer(f: Factorization, c: CaseTag) -> int:
     """The k minimizing |Z(r, k)|: e_r - 1 when 2*phi(P) > P, else 0.
 
     c is classify(f), passed in so the choice costs no second classification.
+    Where 2*phi(P) < P, the only case with a bound, the best layer is 0, so an
+    exact value there (r3-exact) is the bound itself.
     """
     return f.exponents[-1] - 1 if c.tag == CASE_I else 0
 
@@ -89,18 +95,29 @@ def size_Z_formula(f: Factorization, k: int) -> int:
     return _size_Z(f, classify(f), k)
 
 
+def closed_forms(f: Factorization) -> tuple[CaseTag, int | None, int | None]:
+    """classify(f), kappa_formula(f) and upper_bound_ii(f), from one classification.
+
+    |Z| is evaluated at most once: the bound exists only where 2*phi(P) < P,
+    and there the best layer is 0, so where both values exist (r3-exact) they
+    are the same |Z(r, 0)|.
+    """
+    c = classify(f)
+    if c.tag == PRIME_POWER:
+        return c, f.n - 1, None
+    size = _size_Z(f, c, best_layer(f, c))
+    if c.tag == CASE_II_BOUND:
+        return c, None, size
+    return c, size, size if c.tag == R3_EXACT else None
+
+
 def kappa_formula(f: Factorization) -> int | None:
     """Exact kappa(P(C_n)) in closed form, or None where only a bound is known.
 
     n - 1 for prime powers, None for case-ii-bound with r >= 4, and |Z| at
     the best layer in case-i, case-iii and r3-exact.
     """
-    if f.r <= 1:
-        return f.n - 1
-    c = classify(f)
-    if c.tag == CASE_II_BOUND:
-        return None
-    return _size_Z(f, c, best_layer(f, c))
+    return closed_forms(f)[1]
 
 
 def upper_bound_ii(f: Factorization) -> int | None:
@@ -109,5 +126,4 @@ def upper_bound_ii(f: Factorization) -> int | None:
     It is the exact value when r = 3, and strict for some larger r (n = 2310
     is the classic witness).
     """
-    c = classify(f)
-    return _size_Z(f, c, 0) if 2 * c.phiP < c.P else None
+    return closed_forms(f)[2]

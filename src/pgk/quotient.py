@@ -24,7 +24,6 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd, prod
 from typing import Iterable, Sequence
 
@@ -44,7 +43,9 @@ class QuotientGraph:
     Then one pass over the divisor pairs fills two tuples, indexed like
     ``divisors``: bit j of ``comparable[i]`` is set iff d_i != d_j and one
     divides the other, and ``near[i]`` is w(N(d_i)), the weight of those
-    classes. They follow from the fields above, so equality ignores them.
+    classes. They follow from the fields above, so equality ignores them, as
+    it does the divisor -> position dict that ``index`` reads, built beside
+    them.
     """
 
     f: Factorization
@@ -72,14 +73,11 @@ class QuotientGraph:
                     near[j] += ws[i]
         object.__setattr__(self, "comparable", tuple(comp))
         object.__setattr__(self, "near", tuple(near))
+        object.__setattr__(self, "_index", {d: i for i, d in enumerate(ds)})
 
     @property
     def n(self) -> int:
         return self.f.n
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {d: i for i, d in enumerate(self.divisors)}
 
     def weight(self, d: int) -> int:
         return self.weights[self.index(d)]

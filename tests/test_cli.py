@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import pgk.formulas
 from pgk import (
     Factorization, QuotientGraph, SeparationWitness, build_quotient, kappa_class, witness_problems,
 )
@@ -295,6 +296,35 @@ def test_each_command_factors_n_once(capsys, factorize_calls, argv):
     # only factorize call is that of n itself, memo hit or not
     assert run(capsys, *argv.split())[0] == 0
     assert len(factorize_calls) == 1
+
+
+@pytest.fixture
+def derived(monkeypatch):
+    """Calls of formulas.classify and of formulas._size_Z, the |Z| evaluation
+    behind every closed form, counted where the closed forms look them up."""
+    counts = {"classify": 0, "size_Z": 0}
+    classify, size_Z = pgk.formulas.classify, pgk.formulas._size_Z
+
+    def counted_classify(f):
+        counts["classify"] += 1
+        return classify(f)
+
+    def counted_size_Z(f, c, k):
+        counts["size_Z"] += 1
+        return size_Z(f, c, k)
+
+    monkeypatch.setattr(pgk.formulas, "classify", counted_classify)
+    monkeypatch.setattr(pgk.formulas, "_size_Z", counted_size_Z)
+    return counts
+
+
+def test_each_report_classifies_n_once(derived):
+    # the label, the exact value and the bound all come from one closed_forms
+    # call; where both values exist they are the same |Z(r, 0)|
+    for n in [*range(2, 301), 2310, 720720]:
+        derived.update(classify=0, size_Z=0)
+        build_report(n)
+        assert derived["classify"] == 1 and derived["size_Z"] <= 1, (n, derived)
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from pgk import (
     build_quotient,
     build_Z,
     classify,
+    closed_forms,
     factorize,
     kappa_class,
     kappa_formula,
@@ -22,6 +23,7 @@ from pgk import (
     totient,
     upper_bound_ii,
 )
+from pgk.formulas import best_layer
 
 
 # The paper's printed expressions, kept as test-only references: the library
@@ -248,6 +250,29 @@ def test_closed_forms_factor_nothing_again(factorize_calls):
     g = QuotientGraph(f, *zip(*f.divisor_classes()))  # by hand: build_quotient factors n
     assert build_Z(g, 0).classes == {1, 2 * p}
     assert factorize_calls == []
+
+
+def three_call_closed_forms(f):
+    """Reference: the case, exact value and bound as three separate
+    derivations, each classifying n on its own and evaluating its own |Z|."""
+    if f.r <= 1:
+        formula = f.n - 1
+    else:
+        c = classify(f)
+        formula = None if c.tag == CASE_II_BOUND else size_Z_formula(f, best_layer(f, c))
+    c = classify(f)
+    bound = size_Z_formula(f, 0) if 2 * c.phiP < c.P else None
+    return classify(f), formula, bound
+
+
+def test_closed_forms_match_the_three_call_reference():
+    p = 499999999979
+    hand = Factorization(2 * p, ((2, 1), (p, 1)))
+    fs = [factorize(n) for n in [*range(1, 5001), 2310, 720720, 963761198400]] + [hand]
+    for f in fs:
+        expected = three_call_closed_forms(f)
+        assert closed_forms(f) == expected, f.n
+        assert (kappa_formula(f), upper_bound_ii(f)) == expected[1:], f.n
 
 
 @pytest.mark.parametrize(

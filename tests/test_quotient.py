@@ -1,5 +1,6 @@
 """Divisor-class quotient: structure, subgroup sets, element expansion, blow-up."""
 
+import dataclasses
 import math
 import random
 from itertools import combinations
@@ -223,6 +224,16 @@ def test_masks_follow_the_weights_and_not_equality():
     assert hand.comparable == g.comparable and hand.near != g.near
     assert hand != g and QuotientGraph(g.f, g.divisors, g.weights) == g
     assert repr(g) == f"QuotientGraph(f={g.f!r}, divisors={g.divisors!r}, weights={g.weights!r})"
+
+
+def test_index_covers_every_divisor_and_not_equality():
+    for n in (1, 12, 2310, 720720):
+        g = build_quotient(n)
+        assert [g.index(d) for d in g.divisors] == list(range(len(g.divisors))), n
+    g = build_quotient(12)
+    assert "_index" not in {field.name for field in dataclasses.fields(g)}
+    assert hash(QuotientGraph(g.f, g.divisors, g.weights)) == hash(g)
+    assert "_index" not in repr(g)
 
 
 def test_components_without_matches_the_set_scan_up_to_200():
