@@ -6,10 +6,11 @@ separators, and the agreement between the class-level computation, the element-l
 brute force, and the closed form.
 """
 
+from math import gcd
+
 from pgk import (
     build_quotient,
     enumerate_min_separators,
-    expand_to_elements,
     kappa_class,
     kappa_element_oracle,
     kappa_formula,
@@ -22,7 +23,7 @@ g = build_quotient(n)
 print(f"n = {n}: the power graph has {n} vertices, but only {len(g.divisors)}")
 print("kinds of vertex -- one per divisor (element order), weighted by phi:")
 for d, weight in zip(g.divisors, g.weights):
-    members = sorted(expand_to_elements(n, {d}))
+    members = [x for x in range(n) if n // gcd(n, x) == d]
     print(f"  order {d:>2}: {weight} element(s) {members}")
 
 print("\nClasses are adjacent when one order divides the other, e.g.")

@@ -29,7 +29,6 @@ from .quotient import (
     QuotientGraph,
     build_quotient,
     components_without,
-    expand_to_elements,
     subgroup_classes,
 )
 from .separators import (
@@ -54,7 +53,6 @@ __all__ = [
     "QuotientGraph",
     "build_quotient",
     "subgroup_classes",
-    "expand_to_elements",
     "components_without",
     "KappaResult",
     "kappa_class",

@@ -12,7 +12,10 @@ comparable to it, and no arc list. Every flow keeps its own residual state,
 and its BFS layers, DFS steps and cut closures are bit operations on those
 masks. The quotient also weighs N(d), the classes comparable to d; for
 each d other than 1 and n removing N(d) cuts d off, so the lightest of
-them seeds the running minimum and even the first flow stops one above it.
+them seeds the running minimum and even the first flow has a limit.
+``kappa_class`` stops each flow at the running minimum, which is all that
+kappa needs; ``min_cuts`` stops it one above, so that a flow tying the
+minimum is exact and its residual state holds its minimum cuts.
 A flow first charges the classes comparable to both endpoints, which lie
 in every separator, then saturates the paths u, a, b, v through two other
 classes greedily, largest divisors first, and runs an iterative Dinic from
@@ -366,10 +369,11 @@ class _ClassNet:
             stack.append((side, _closure(backward, *node, other)))
 
 
-def _source_flows(net: _ClassNet) -> Iterator[tuple[int, int, _Flow, int]]:
+def _source_flows(net: _ClassNet, *, exact_ties: bool) -> Iterator[tuple[int, int, _Flow, int]]:
     # The source rule's flows as (source, sink, residual state, value). The
-    # running minimum best starts at the seed net.isolation, and each flow
-    # stops at best + 1, not best, so a flow that ties it is exact and its
+    # running minimum best starts at the seed net.isolation. Each flow stops
+    # at best, which is enough to find kappa (see kappa_class), or with
+    # exact_ties at best + 1, so that a flow that ties best is exact and its
     # residual state holds every one of its minimum cuts.
     g = net.g
     ds, ws = g.divisors, g.weights
@@ -389,7 +393,7 @@ def _source_flows(net: _ClassNet) -> Iterator[tuple[int, int, _Flow, int]]:
         near = net.comp[i] | 1 << i  # x and its comparable classes; the sinks are the rest
         for j, v in enumerate(ds):
             if not near >> j & 1:
-                w, st = net.flow(x, v, limit=best + 1)
+                w, st = net.flow(x, v, limit=best + 1 if exact_ties else best)
                 yield x, v, st, w
                 best = min(best, w)
         visited += ws[i]
@@ -407,25 +411,35 @@ def kappa_class(g: QuotientGraph) -> KappaResult:
     each class v not adjacent to it, and stop once the visited weight
     exceeds best - phi(n) - 1, best being the running minimum. best starts
     at the seed ``_ClassNet.isolation``, the lightest N(d), which is a
-    separator, so best >= kappa throughout and every flow stops at best + 1.
+    separator, so best >= kappa throughout, and every flow stops at best.
     The order of the visit is free. When one class on its own exceeds the
     stop bound at the seed, the rule visits the one with the most
     comparable classes, so the fewest sinks, and stops after it; otherwise
     it visits the heaviest first.
 
+    Stopping at best, not best + 1, moves best exactly as the exact flows
+    would: a flow that returns a value below best is exact, and best falls
+    to it; a flow stopped at best returns a value >= best, and its max flow
+    is >= best too, so an exact flow could not have lowered best either.
+    So the visited set and the flows run are those of ``min_cuts``, whose
+    flows stop at best + 1.
+
     Proof sketch: a minimum separator S weighs kappa <= best and contains 1
     and n, so its other classes weigh at most best - phi(n) - 1. The visited
     set is heavier (or holds every class, while S leaves two), so some
     visited x lies outside S, whatever the order. S separates x from some
-    v in another component, v is not adjacent to x, and cut(x, v) = kappa;
-    that flow ran with a limit above best >= kappa, so it returned kappa
-    exactly.
+    v in another component, v is not adjacent to x, and cut(x, v) = kappa.
+    That flow returns kappa: exactly if kappa < best when it runs, and
+    otherwise best is kappa, and a flow stopped at best returns a value
+    between best and its max flow kappa. Every other value is an exact max
+    flow, so at least kappa, or a stop at best >= kappa, so the least value
+    is kappa.
     """
     n = g.n
     if g.is_complete:
         return KappaResult(n, n - 1, "class-cut")
     # every class but 1 and n has a non-adjacent class, so some flow runs
-    best = min(w for *_, w in _source_flows(_ClassNet(g)))
+    best = min(w for *_, w in _source_flows(_ClassNet(g), exact_ties=False))
     return KappaResult(n, best, "class-cut")
 
 
@@ -437,13 +451,16 @@ def min_cuts(g: QuotientGraph) -> tuple[int, set[frozenset[int]]]:
     of every one of its minimum cuts (``_ClassNet.cuts``) to the set at
     once, and a flow that lowers the minimum empties the set first, so the
     set left at the end is the cuts of the flows whose value is kappa. The
-    running minimum starts at the seed, as in ``kappa_class``.
+    running minimum starts at the seed, as in ``kappa_class``. Each flow
+    stops at the running minimum + 1, not at the minimum as in
+    ``kappa_class``: ``cuts`` reads the residual state of a flow that ties
+    the minimum, and Picard and Queyranne's cuts need a max flow.
     """
     if g.is_complete:
         raise ValueError("complete quotient has no separator; kappa = n - 1")
     net = _ClassNet(g)
     best, cuts = net.isolation, set()
-    for x, v, st, w in _source_flows(net):
+    for x, v, st, w in _source_flows(net, exact_ties=True):
         if w < best:
             best, cuts = w, set()
         if w == best:

@@ -24,7 +24,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, prod
+from math import prod
 from typing import Iterable, Sequence
 
 from .arith import Factorization, factorize
@@ -117,15 +117,6 @@ def subgroup_classes(g: QuotientGraph, d: int) -> frozenset[int]:
     """
     i = g.index(d)
     return g.classes(g.comparable[i] & ((1 << i) - 1) | 1 << i)
-
-
-def expand_to_elements(n: int, classes: Iterable[int]) -> frozenset[int]:
-    """Residues x in Z_n whose order n/gcd(n, x) lies in the given classes."""
-    chosen = set(classes)
-    for d in chosen:
-        if d < 1 or n % d != 0:
-            raise ValueError(f"{d} does not divide {n}")
-    return frozenset(x for x in range(n) if n // gcd(n, x) in chosen)
 
 
 def components_without(g: QuotientGraph, removed: Iterable[int]) -> list[frozenset[int]]:

@@ -528,7 +528,7 @@ def tight_cut_lists(n):
     g = build_quotient(n)
     net = _ClassNet(g)
     best, tight = net.isolation, []
-    for x, v, st, w in _source_flows(net):
+    for x, v, st, w in _source_flows(net, exact_ties=True):
         if w < best:
             best, tight = w, []
         if w == best:
@@ -571,6 +571,44 @@ def test_source_rule_flow_counts(monkeypatch):
     }
     counts = [flows(n) for n in range(2, 2001)]
     assert (sum(counts), max(counts)) == (3715, 15)
+
+
+def test_each_caller_stops_its_flows_at_its_own_limit(monkeypatch):
+    # kappa_class stops each flow at the running minimum and min_cuts one
+    # above it; the minimum moves the same way in both, so they run the
+    # same flows
+    calls = []
+    flow = _ClassNet.flow
+
+    def recorded(self, u, v, limit=None):
+        value, st = flow(self, u, v, limit)
+        calls.append((u, v, limit, value))
+        return value, st
+
+    monkeypatch.setattr(_ClassNet, "flow", recorded)
+
+    def limits_over_best(g, run):
+        # the (u, v) of each flow, and the set of its limit minus the
+        # running minimum before it
+        calls.clear()
+        run(g)
+        best, over = _ClassNet(g).isolation, set()
+        for u, v, limit, value in calls:
+            over.add(limit - best)
+            best = min(best, value)
+        return [(u, v) for u, v, *_ in calls], over
+
+    hand = [
+        QuotientGraph(factorize(12), (1, 2, 3, 4, 6, 12), (5, 4, 4, 3, 4, 3)),
+        QuotientGraph(factorize(30), (1, 2, 3, 5, 6, 10, 15, 30), (1,) + (100,) * 7),
+    ]
+    quotients = [build_quotient(n) for n in range(2, 2001)] + hand
+    for g in quotients:
+        if g.is_complete:
+            continue
+        pairs, over = limits_over_best(g, kappa_class)
+        assert over == {0}, g.n
+        assert limits_over_best(g, min_cuts) == (pairs, {1}), g.n
 
 
 def comparable_classes(g, d):

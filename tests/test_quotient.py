@@ -14,11 +14,19 @@ from pgk import (
     components_without,
     divisors,
     element_adjacency,
-    expand_to_elements,
     factorize,
     subgroup_classes,
     totient,
 )
+
+
+def expand_to_elements(n, classes):
+    """Residues x in Z_n whose order n/gcd(n, x) lies in the given classes."""
+    chosen = set(classes)
+    for d in chosen:
+        if d < 1 or n % d != 0:
+            raise ValueError(f"{d} does not divide {n}")
+    return frozenset(x for x in range(n) if n // math.gcd(n, x) in chosen)
 
 
 def non_adjacent_pairs(g):

@@ -12,7 +12,6 @@ from pgk import (
     divisors,
     enumerate_min_separators,
     example_2310,
-    expand_to_elements,
     factorize,
     kappa_formula,
     optimal_Z,
@@ -23,6 +22,7 @@ from pgk import (
 )
 
 from test_connectivity import kappa_all_pairs
+from test_quotient import expand_to_elements
 
 
 @pytest.mark.parametrize(
