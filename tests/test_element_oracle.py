@@ -278,16 +278,56 @@ def test_shortest_path_through_a_saturated_prefix_is_skipped():
     assert element_oracle.maximum_flow(caps.tolist(), arcs, 5, 4) == expected == 1
 
 
-def test_maximum_flow_matches_scipy_on_random_networks():
-    # the oracle's flow on general digraphs, antiparallel arcs included,
-    # against scipy's solver
-    rng = np.random.default_rng(1)
-    for _ in range(300):
-        size = int(rng.integers(2, 12))
-        caps = np.where(rng.random((size, size)) < 0.35, rng.integers(1, 9, (size, size)), 0)
+def test_early_stop_still_pushes_every_path_of_the_level(monkeypatch):
+    # s = 0 reaches 1, 2 and 3, each with room into t = 4; arcs[1] lists t
+    # before 5, so the first search discovers t while expanding node 1, the
+    # first of its level, before the level below is complete. All three
+    # pushes of level [1, 2, 3] must land in that round (value 4); the second
+    # search finds the longer path 0, 1, 5, 4 (value 6) and the third none.
+    # A lost push would take more searches.
+    caps = np.zeros((6, 6), dtype=np.int32)
+    for a, b, cap in [(0, 1, 3), (0, 2, 2), (0, 3, 1), (1, 4, 1), (1, 5, 5),
+                      (5, 4, 5), (2, 4, 2), (3, 4, 1)]:
+        caps[a, b] = cap
+    arcs = [[b for b in range(6) if caps[a, b] or caps[b, a]] for a in range(6)]
+    assert arcs[1] == [0, 4, 5]
+    levels = []
+    search = element_oracle._search_to_sink
+
+    def recorded(*args):
+        found = search(*args)
+        levels.append(found and found[1])
+        return found
+
+    monkeypatch.setattr("pgk.element_oracle._search_to_sink", recorded)
+    value = element_oracle.maximum_flow(caps.tolist(), arcs, 0, 4)
+    assert value == maximum_flow(csr_matrix(caps), 0, 4).flow_value == 6
+    assert levels == [[1, 2, 3], [5], None]
+
+
+def random_networks(rng, count, sizes, density):
+    """(caps, arcs, s, t) for random digraphs of sizes[0] to sizes[1] - 1
+    nodes, each arc present with the given probability, antiparallel arcs
+    included."""
+    for _ in range(count):
+        size = int(rng.integers(*sizes))
+        caps = np.where(rng.random((size, size)) < density, rng.integers(1, 9, (size, size)), 0)
         np.fill_diagonal(caps, 0)
         s, t = rng.choice(size, 2, replace=False).tolist()
         arcs = [[b for b in range(size) if caps[a, b] or caps[b, a]] for a in range(size)]
+        yield caps, arcs, s, t
+
+
+def test_maximum_flow_matches_scipy_on_random_networks():
+    # the oracle's flow on general digraphs against scipy's solver: small
+    # ones, and ones of 30-94 nodes, the sizes of the class networks for
+    # n <= 5000, from sparse (long augmenting paths) to dense
+    large = np.random.default_rng(2)
+    networks = [
+        *random_networks(np.random.default_rng(1), 300, (2, 12), 0.35),
+        *(net for p in (0.04, 0.1, 0.3) for net in random_networks(large, 40, (30, 95), p)),
+    ]
+    for caps, arcs, s, t in networks:
         expected = maximum_flow(csr_matrix(caps.astype(np.int32)), s, t).flow_value
         assert element_oracle.maximum_flow(caps.tolist(), arcs, s, t) == expected
 
@@ -323,12 +363,17 @@ def test_adjacency_is_symmetric_irreflexive():
 
 
 def test_block_adjacency_equals_the_row_loop():
-    # n = 1..3; a last block that is partial (100 = 40 + 40 + 20 rows); the
-    # last n with two rows per block and the first with one; the ceiling
-    half = _BLOCK_ENTRIES // 2
+    # rows past n//2 are copies of rows n - y; the row loop enumerates every
+    # row. Every n to 300, among them a last block that is partial (100: 40
+    # rows per block, 51 rows enumerated); an odd and an even n on each side
+    # of the edge where a block drops from two rows to one; n on each side of
+    # a row filling one block; the widest class networks and the ceiling
     rows = _BLOCK_ENTRIES // 100
-    assert 1 < rows < 100 and 100 % rows
-    for n in (1, 2, 3, 100, half, half + 1, 4620, 5000):
+    assert 1 < rows < 51 and 51 % rows
+    edge = _BLOCK_ENTRIES // 2
+    near_edge = [edge - 1, edge, edge + 1, edge + 2]
+    assert [max(1, _BLOCK_ENTRIES // n) for n in near_edge] == [2, 2, 1, 1]
+    for n in [*range(1, 301), *near_edge, 4095, 4096, 4097, 4620, 5000]:
         assert np.array_equal(element_adjacency(n), adjacency_by_rows(n)), n
 
 

@@ -1,10 +1,10 @@
 """Lints on src/pgk: no asserts (in demos/ either), no environment variables,
-an element oracle independent of the class route, a class route that imports
-only the quotient and no numeric library and takes no modulo, a separation
-check that calls nothing of the class cut, a witness check that reads
-divisibility alone, a package that never loads scipy (nor, on import, the
-process pool), n factored in one place per command, each input rule checked
-in one place, and an ``__all__`` that matches the package."""
+an element oracle independent of the class route and of number theory, a
+class route that imports only the quotient and no numeric library and takes
+no modulo, a separation check that calls nothing of the class cut, a witness
+check that reads divisibility alone, a package that never loads scipy (nor,
+on import, the process pool), n factored in one place per command, each input
+rule checked in one place, and an ``__all__`` that matches the package."""
 
 import ast
 import os
@@ -134,6 +134,20 @@ def test_element_oracle_imports_nothing_of_the_class_route():
     # the oracle cross-checks the class cut, so it may share no graph, flow
     # or divisor code with it: only the result type
     assert pgk_imports("element_oracle.py") == {".connectivity.KappaResult"}
+
+
+def test_element_oracle_stays_literal():
+    # its adjacency copies row n - y to row y on the group law alone (-y
+    # generates <y>), so it enumerates k*y mod n with numpy and takes no
+    # number theory: no math module and no gcd, lcm or isqrt by any route
+    path = SRC / "element_oracle.py"
+    assert top_level_imports(path) - {"__future__"} == {"numpy"}
+    names = {
+        getattr(node, k, None)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for k in ("id", "attr", "name", "asname")
+    }
+    assert not names & {"gcd", "lcm", "isqrt", "math"}
 
 
 def test_class_route_imports_only_the_quotient():
