@@ -17,10 +17,11 @@ them seeds the running minimum and even the first flow has a limit.
 kappa needs; ``min_cuts`` stops it one above, so that a flow tying the
 minimum is exact and its residual state holds its minimum cuts.
 A flow first charges the classes comparable to both endpoints, which lie
-in every separator, then saturates the paths u, a, b, v through two other
-classes greedily, largest divisors first, and runs an iterative Dinic from
-that flow on the rest; ``_ClassNet.flow`` proves the charge and the warm
-start.
+in every separator. It then saturates greedily the paths u, a, b, v and,
+while the value is below its limit, the paths u, a, c, b, v through a class
+c comparable to neither end. An iterative Dinic runs from that flow on the
+rest, which few flows need. ``_ClassNet.flow`` proves the charge and the
+warm start.
 The flows are plain Python and borrow nothing from the oracle's solver.
 Complete quotients (n = 1 or a prime power) have no non-adjacent pair and
 kappa = n - 1 by convention, kappa(P(C_1)) = 0 included.
@@ -152,27 +153,50 @@ class _ClassNet:
         reached from exit(u) and exit(c) still reaches entry(v), and
         ``cuts`` reports c in every cut.
 
-        Warm start: next, for each a in ``comp[x] & avail`` and then each b
-        in ``comp[a] & comp[y] & avail``, push min(r[a], r[b]) along the
-        path x, a, b, y, stopping as soon as the value reaches ``limit``.
-        Each push records its three adjacency arcs in ``amt`` and ``back``
-        as it goes, so the state is whole wherever the loop stops. Both
-        loops go from the highest bit down: the largest divisors, which
-        under phi weights are mostly the heaviest classes, so a few pushes
-        saturate most of the value. An uncharged a is not comparable to y,
-        nor an uncharged b to x, so no a is a b and a push takes nothing
-        from a later a. Proof that it changes no result: each push is an
-        augmenting path of the residual network, its three adjacency arcs
-        having no capacity and its class arcs a and b at least the push, so
-        the state stays a feasible flow of the value. Dinic from any
-        feasible flow ends at a max flow (the augmenting-path theorem: a
-        flow is maximum iff no residual path joins source to sink), so an
-        exact value is unchanged, and ``cuts``, which reads the residual
-        closures of any max flow, lists the same minimum cuts. A stop at
-        ``limit`` returns a feasible flow's value, which is at most the max
-        flow, so the max flow is still >= limit. The pushes run after the
-        charge and only while the value is below ``limit``, so a charge that
-        reaches ``limit`` still returns before any search.
+        Warm start, in two stages that push greedily along short paths and
+        stop as soon as the value reaches ``limit``. The first takes each a
+        in ``comp[x] & avail`` and then each b in ``comp[a] & comp[y] &
+        avail``, and pushes min(r[a], r[b]) along the path x, a, b, y. The
+        second runs only if the value is still below ``limit``. With
+        ``outer`` the classes comparable to neither x nor y, x and y left
+        out, it takes each a in ``comp[x] & avail``, each c in ``comp[a] &
+        avail & outer`` and each b in ``comp[c] & comp[y] & avail``, and
+        pushes min(r[a], r[c], r[b]) along x, a, c, b, y. Each push records
+        its adjacency arcs in ``amt`` and ``back`` as it goes, so the state
+        is whole wherever a stage stops.
+
+        The three roles are disjoint. An uncharged a is in ``comp[x]`` and
+        not in ``comp[y]``, an uncharged b in ``comp[y]`` and not in
+        ``comp[x]``, and c in neither. So each class arc carries flow in one
+        role only, and always forward: a from exit(x) alone, so amt[x, a]
+        is all that class arc a carries, phi(d_a) - r[a]; b to entry(y)
+        alone, so amt[b, y] is phi(d_b) - r[b]; c from heads to tails.
+
+        Proof that the warm start changes no result: each push is an
+        augmenting path of the residual network. Its adjacency arcs have no
+        capacity, and its class arcs carry flow forward only and have at
+        least the push left, so the state stays a feasible flow of the
+        value. Dinic from any feasible flow ends at a max flow (the
+        augmenting-path theorem of Ford and Fulkerson: a flow is maximum iff
+        no residual path joins source to sink), so an exact value is
+        unchanged, and ``cuts``, which reads the residual closures of any
+        max flow, lists the same minimum cuts. A stop at ``limit`` returns a
+        feasible flow's value, which is at most the max flow, so the max
+        flow is still >= limit. The pushes run after the charge and only
+        while the value is below ``limit``, so a charge that reaches
+        ``limit`` still returns before any search.
+
+        The order is free for that proof; it was chosen by measurement.
+        Heads a and middles c go from the highest bit down: the largest
+        divisors, which under phi weights are mostly the heaviest classes,
+        so a few pushes saturate most of the value. Tails b go from the
+        lowest bit up, lightest first, so a head fills the light tails and
+        leaves residual on the heavy ones for later heads and the second
+        stage. Over n = 2..20000, ``kappa_class`` then runs 58 Dinic phases
+        in all. With heaviest tails first it runs 158; without the second
+        stage, 10561. Every n <= 20000 that still needs a phase has three
+        or more primes; that two primes never need one is measured there,
+        not proven.
 
         The rest is Dinic's algorithm (1970). The BFS builds the alternating
         layers as masks, the next entries being the ``comp`` of the exit
@@ -180,7 +204,7 @@ class _ClassNet:
         the class arcs, and stops at the sink's layer, which keeps only the
         sink. The class arcs count both ways: without the reverse ones,
         exit(i) -> entry(i) for i in ``fbits``, a flow can stop below its
-        max, as one on a hand-weighted quotient of 210 does (at 233 of 236;
+        max, as one on a hand-weighted quotient of 1155 does (at 12 of 13;
         the tests pin it). The blocking flow is a DFS that steps to the
         lowest set bit of a node's residual successors in the next layer and
         clears a dead-end node from its layer's mask, so no node is tried
@@ -206,7 +230,7 @@ class _ClassNet:
         amt: dict[tuple[int, int], int] = {}
         back = [0] * len(ws)
         source, sink = 1 << x, 1 << y
-        # warm start: saturate the paths x, a, b, y, largest a and b first
+        # warm start: saturate the paths x, a, b, y, largest a and lightest b first
         heads = comp[x] & avail
         while heads and value < limit:
             a = heads.bit_length() - 1
@@ -214,8 +238,9 @@ class _ClassNet:
             tails = comp[a] & comp[y] & avail
             left = r[a]
             while tails and left:
-                b = tails.bit_length() - 1
-                tails ^= 1 << b
+                low = tails & -tails
+                b = low.bit_length() - 1
+                tails ^= low
                 pushed = min(left, r[b])
                 left -= pushed
                 r[b] -= pushed
@@ -236,6 +261,39 @@ class _ClassNet:
                     avail ^= 1 << a
                 fbits |= 1 << a
                 back[a] = source
+        if value < limit:
+            # then the paths x, a, c, b, y through a class c comparable to neither end
+            outer = self.full & ~(comp[x] | comp[y] | source | sink)
+            heads = comp[x] & avail
+            while heads and value < limit:
+                a = heads.bit_length() - 1
+                heads ^= 1 << a
+                mids = comp[a] & avail & outer
+                while mids and r[a] and value < limit:
+                    c = mids.bit_length() - 1
+                    mids ^= 1 << c
+                    tails = comp[c] & comp[y] & avail
+                    while tails and r[a] and r[c]:
+                        low = tails & -tails
+                        b = low.bit_length() - 1
+                        tails ^= low
+                        pushed = min(r[a], r[c], r[b])
+                        for i in (a, c, b):
+                            r[i] -= pushed
+                            if not r[i]:
+                                avail ^= 1 << i
+                        fbits |= 1 << a | 1 << c | 1 << b
+                        amt[x, a] = ws[a] - r[a]
+                        amt[a, c] = amt.get((a, c), 0) + pushed
+                        amt[c, b] = amt.get((c, b), 0) + pushed
+                        amt[b, y] = ws[b] - r[b]
+                        back[a] = source
+                        back[c] |= 1 << a
+                        back[b] |= 1 << c
+                        back[y] |= 1 << b
+                        value += pushed
+                        if value >= limit:
+                            break
         while value < limit:
             # layers[k] is a mask of exits for even k and of entries for odd k
             layers = [source]
@@ -337,8 +395,9 @@ class _ClassNet:
         residual closure of u.
 
         Seeding entry(x) and exit(y) loses no cut. No flow enters entry(x)
-        or leaves exit(y): the warm start's middle classes a and b lie in
-        ``comp[x]`` or ``comp[y]``, which hold neither x nor y; in Dinic
+        or leaves exit(y): of the warm start's middle classes, a and b lie
+        in ``comp[x]`` or ``comp[y]``, which hold neither x nor y, and c in
+        ``outer``, which leaves x and y out; in Dinic
         entry(x) is a dead end, since exit(x) is only in layer 0 and
         ``back[x]`` stays 0; and the DFS never goes past the sink. So the
         closure of entry(x) adds only exit(x), that of exit(y) only

@@ -361,11 +361,23 @@ def test_flow_that_cancels_class_flow_matches_the_arc_net(n, weights, u, v):
 
 def test_flow_needs_the_reverse_class_arcs():
     # found by search: a BFS and DFS that skip the reverse class arcs, the
-    # fbits terms, stop this flow at 233, below the max flow 236
+    # fbits terms, stopped this flow at 233, below the max flow 236, while
+    # the warm start took only paths through two classes
     weights = (67, 3, 14, 16, 82, 8, 52, 99, 38, 71, 94, 20, 65, 74, 96, 8)
     g = QuotientGraph(factorize(210), build_quotient(210).divisors, weights)
     assert reference_flow(ArcNet(g), 10, 21)[0] == 236
     check_flows_match_reference(g, [(10, 21)])
+
+
+def test_flow_after_the_three_class_warm_start_needs_the_reverse_class_arcs():
+    # found by search once the warm start also took paths through three
+    # classes, then its weights lowered one at a time while the fault held:
+    # a BFS and DFS that skip the fbits terms stop this flow at 12, below the
+    # max flow 13
+    weights = (1, 5, 4, 5, 4, 1, 1, 3, 3, 3, 1, 1, 1, 1, 1, 1)
+    g = QuotientGraph(factorize(1155), build_quotient(1155).divisors, weights)
+    assert reference_flow(ArcNet(g), 15, 77)[0] == 13
+    check_flows_match_reference(g, [(15, 77)])
 
 
 @pytest.mark.parametrize("limit", [3, 6])
@@ -571,6 +583,80 @@ def test_source_rule_flow_counts(monkeypatch):
     }
     counts = [flows(n) for n in range(2, 2001)]
     assert (sum(counts), max(counts)) == (3715, 15)
+
+
+def count_unions(monkeypatch):
+    """Count the mask unions of the Dinic BFS, which the warm start never
+    takes: a flow that makes none ran no Dinic search."""
+    calls = []
+    union = connectivity._union
+
+    def counted(masks, m):
+        calls.append(m)
+        return union(masks, m)
+
+    monkeypatch.setattr(connectivity, "_union", counted)
+    return calls
+
+
+def test_the_warm_start_ends_the_flows_before_dinic(monkeypatch):
+    unions = count_unions(monkeypatch)
+    for n in (2592, 1944, 4725, 420, 840, 1800):
+        kappa_class(build_quotient(n))
+        assert unions == [], n
+    # 735 = 3 * 5 * 7^2 is one of the phi-weighted n that still need Dinic
+    g = build_quotient(735)
+    calls = []
+    flow = _ClassNet.flow
+
+    def recorded(self, u, v, limit=None):
+        unions.clear()
+        value, st = flow(self, u, v, limit)
+        calls.append((u, v, limit, value, bool(unions)))
+        return value, st
+
+    monkeypatch.setattr(_ClassNet, "flow", recorded)
+    kappa_class(g)
+    searched = [(u, v, limit, value) for u, v, limit, value, dinic in calls if dinic]
+    assert searched
+    arc = ArcNet(g)
+    for u, v, limit, value in searched:
+        want = reference_flow(arc, u, v)[0]
+        assert value == want if value < limit else limit <= value <= want, (u, v)
+
+
+def test_the_warm_start_stops_at_the_limit(monkeypatch):
+    # every push takes the min of its residuals, so a counted min records the
+    # pushes; with no Dinic search, the last push is the one that reaches
+    # limit, and none comes after it. Each limit above the charge up to the
+    # max flow is tried; the flows at 840 and 1800 reach some of them in the
+    # paths through three classes
+    flows = [(2592, 16, 81), (2592, 32, 27), (2592, 96, 81), (840, 3, 14), (1800, 9, 50)]
+    nets = {n: (build_quotient(n), _ClassNet(build_quotient(n))) for n, *_ in flows}
+    wants = [reference_flow(ArcNet(nets[n][0]), u, v)[0] for n, u, v in flows]
+    unions = count_unions(monkeypatch)
+    pushes = []
+
+    def counted(*args):
+        pushes.append(min(*args))
+        return pushes[-1]
+
+    monkeypatch.setattr(connectivity, "min", counted, raising=False)
+    checked = 0
+    for (n, u, v), want in zip(flows, wants):
+        g, net = nets[n]
+        charge = sum(g.weight(c) for c in common_neighbours(g, u, v))
+        for limit in range(charge + 1, want + 1):
+            pushes.clear()
+            unions.clear()
+            value, st = net.flow(u, v, limit)
+            if unions:
+                continue
+            check_state(g, u, v, value, st)
+            assert all(pushes) and value == charge + sum(pushes), (n, u, v, limit)
+            assert charge + sum(pushes[:-1]) < limit <= value, (n, u, v, limit)
+            checked += 1
+    assert checked == 963
 
 
 def test_each_caller_stops_its_flows_at_its_own_limit(monkeypatch):

@@ -19,7 +19,7 @@ from pgk import (
 )
 from pgk.connectivity import _ClassNet, min_cuts
 
-from test_connectivity import arc_source_rule
+from test_connectivity import arc_source_rule, check_state
 from test_formulas import check_against_printed
 from test_quotient import non_adjacent_pairs, reference_components_without, reference_masks
 
@@ -119,6 +119,28 @@ def test_hand_weights_match_the_arc_net(n, data):
     )
     assert (hand.comparable, hand.near) == reference_masks(hand)
     assert (kappa_class(hand).kappa, min_cuts(hand)) == arc_source_rule(hand)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=5000).filter(lambda n: factorize(n).r >= 2), st.data())
+def test_every_flow_state_is_a_feasible_flow(n, data):
+    # the warm start writes amt and back itself: whatever the weights and
+    # wherever the limit stops the flow, its state is a feasible flow of the
+    # value it returns (check_state: positive amt on comparable classes, back
+    # the tails of amt, conservation at each uncharged class, no flow on a
+    # charged one, avail and fbits as r says, the charge plus u's outflow)
+    g = build_quotient(n)
+    top = data.draw(st.sampled_from((4, 2 * n)))
+    weights = st.integers(min_value=1, max_value=top)
+    hand = QuotientGraph(
+        g.f,
+        g.divisors,
+        tuple(data.draw(st.lists(weights, min_size=len(g.divisors), max_size=len(g.divisors)))),
+    )
+    u, v = data.draw(st.sampled_from(non_adjacent_pairs(hand)))
+    limit = data.draw(st.none() | st.integers(min_value=0, max_value=sum(hand.weights)))
+    value, state = _ClassNet(hand).flow(u, v, limit)
+    check_state(hand, u, v, value, state)
 
 
 @settings(max_examples=200, deadline=None)
