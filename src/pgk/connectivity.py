@@ -9,19 +9,21 @@ not adjacent to them; ``kappa_class`` states the source rule and its proof.
 Each call builds one network for the quotient (``_ClassNet``) on the masks
 the quotient carries: one Python int per class, the bitmask of the classes
 comparable to it, and no arc list. Every flow keeps its own residual state,
-and its BFS layers, DFS steps and cut closures are bit operations on those
-masks. The quotient also weighs N(d), the classes comparable to d; for
-each d other than 1 and n removing N(d) cuts d off, so the lightest of
-them seeds the running minimum and even the first flow has a limit.
+and its residual searches, DFS steps and cut closures are bit operations
+on those masks. The quotient also weighs N(d), the classes comparable to
+d; for each d other than 1 and n removing N(d) cuts d off, so the lightest
+of them seeds the running minimum and even the first flow has a limit.
 ``kappa_class`` stops each flow at the running minimum, which is all that
 kappa needs; ``min_cuts`` stops it one above, so that a flow tying the
 minimum is exact and its residual state holds its minimum cuts.
 A flow first charges the classes comparable to both endpoints, which lie
 in every separator. It then saturates greedily the paths u, a, b, v and,
 while the value is below its limit, the paths u, a, c, b, v through a class
-c comparable to neither end. An iterative Dinic runs from that flow on the
-rest, which few flows need. ``_ClassNet.flow`` proves the charge and the
-warm start.
+c comparable to neither end. From that flow it pushes along one shortest
+augmenting path per residual search (Edmonds and Karp), which few flows
+need, until a search misses the sink. One search, ``_closure``, serves
+both these flows and the cuts. ``_ClassNet.flow`` proves the charge and
+the warm start.
 The flows are plain Python and borrow nothing from the oracle's solver.
 Complete quotients (n = 1 or a prime power) have no non-adjacent pair and
 kappa = n - 1 by convention, kappa(P(C_1)) = 0 included.
@@ -50,20 +52,27 @@ class KappaResult:
     method: str  # "class-cut" | "element-oracle"
 
 
-def _closure(arcs: tuple, xs: int, es: int, closed: tuple[int, int] = (0, 0)) -> tuple[int, int]:
+def _closure(
+    arcs: tuple, xs: int, es: int, closed: tuple[int, int] = (0, 0), fronts: list | None = None
+) -> tuple[int, int]:
     # closed plus every node that the exits xs and entries es reach along the
     # arcs (x_self, x_next, e_self, e_next), as an (exits, entries) pair of
     # masks; closed must be closed the same way. exit(i) leads to entry(i) if
-    # i is in x_self and to the entries x_next[i]; entries likewise by e_*
+    # i is in x_self and to the entries x_next[i]; entries likewise by e_*.
+    # fronts, if given, gets each step's newly reached xs | es: started from
+    # one exit alone the steps alternate, entries first, so these are the
+    # BFS distance layers, one mask each (the last one empty)
     x_self, x_next, e_self, e_next = arcs
     seen_x, seen_e = closed[0] | xs, closed[1] | es
     while xs or es:
         xs, es = (
-            (_union(e_next, es) | es & e_self) & ~seen_x,
-            (_union(x_next, xs) | xs & x_self) & ~seen_e,
+            (_union(e_next, es) | es & e_self) & ~seen_x if es else 0,
+            (_union(x_next, xs) | xs & x_self) & ~seen_e if xs else 0,
         )
         seen_x |= xs
         seen_e |= es
+        if fronts is not None:
+            fronts.append(xs | es)
     return seen_x, seen_e
 
 
@@ -100,8 +109,10 @@ class _ClassNet:
     Lemma (alternating layers): an entry node's arcs lead only to exits (its
     own class arc, and the reverses of adjacency arcs into it) and an exit
     node's only to entries (adjacency arcs, and the reverse of its own class
-    arc). So every residual path alternates exits and entries, every BFS
-    layer from an exit is all exits or all entries, and each is one mask.
+    arc). So every residual path alternates exits and entries, and the
+    nodes at distance k from an exit are all entries for odd k and all
+    exits for even k: each distance layer is one mask, and ``_closure``'s
+    steps from that exit alone are exactly those layers.
     The classes comparable to both ends x and y of a flow, which it charges
     up front, are one mask too: ``comp[x] & comp[y]``.
 
@@ -176,14 +187,14 @@ class _ClassNet:
         augmenting path of the residual network. Its adjacency arcs have no
         capacity, and its class arcs carry flow forward only and have at
         least the push left, so the state stays a feasible flow of the
-        value. Dinic from any feasible flow ends at a max flow (the
-        augmenting-path theorem of Ford and Fulkerson: a flow is maximum iff
-        no residual path joins source to sink), so an exact value is
-        unchanged, and ``cuts``, which reads the residual closures of any
-        max flow, lists the same minimum cuts. A stop at ``limit`` returns a
-        feasible flow's value, which is at most the max flow, so the max
-        flow is still >= limit. The pushes run after the charge and only
-        while the value is below ``limit``, so a charge that reaches
+        value. The search below ends at a max flow from any feasible flow
+        (the augmenting-path theorem of Ford and Fulkerson: a flow is
+        maximum iff no residual path joins source to sink), so an exact
+        value is unchanged, and ``cuts``, which reads the residual closures
+        of any max flow, lists the same minimum cuts. A stop at ``limit``
+        returns a feasible flow's value, which is at most the max flow, so
+        the max flow is still >= limit. The pushes run after the charge and
+        only while the value is below ``limit``, so a charge that reaches
         ``limit`` still returns before any search.
 
         The order is free for that proof; it was chosen by measurement.
@@ -192,23 +203,31 @@ class _ClassNet:
         so a few pushes saturate most of the value. Tails b go from the
         lowest bit up, lightest first, so a head fills the light tails and
         leaves residual on the heavy ones for later heads and the second
-        stage. Over n = 2..20000, ``kappa_class`` then runs 58 Dinic phases
-        in all. With heaviest tails first it runs 158; without the second
-        stage, 10561. Every n <= 20000 that still needs a phase has three
-        or more primes; that two primes never need one is measured there,
-        not proven.
+        stage. Over n = 2..20000, ``kappa_class`` then pushes along 93
+        searched paths in all, at 54 n. With heaviest tails first it pushes
+        along 416; without the second stage, 21937. Every n <= 20000 that
+        still needs a push has three or more primes; that two primes never
+        need one is measured there, not proven.
 
-        The rest is Dinic's algorithm (1970). The BFS builds the alternating
-        layers as masks, the next entries being the ``comp`` of the exit
-        frontier and the next exits the ``back`` of the entry frontier, plus
-        the class arcs, and stops at the sink's layer, which keeps only the
-        sink. The class arcs count both ways: without the reverse ones,
-        exit(i) -> entry(i) for i in ``fbits``, a flow can stop below its
+        The rest pushes along one shortest augmenting path per search
+        (Edmonds and Karp 1972). The search is ``_closure`` from exit(x)
+        over the residual arcs, and its steps are the distance layers, as
+        masks (the alternating-layers lemma of ``_ClassNet``). If the
+        closure misses entry(y), no residual path joins source to sink and
+        the flow is exact; that closure, with entry(x) added, is the side
+        ``cuts`` starts from. Otherwise the sink's layer keeps only the
+        sink, and a DFS through the layers, which steps to the lowest set
+        bit of a node's residual successors in the next layer and clears a
+        dead end from its layer's mask, finds a shortest path, trying no
+        node twice. The push empties the path's bottleneck arc. Shortest
+        paths keep every distance from exit(x) from falling, so each arc is
+        the bottleneck O(V) times and there are O(VE) pushes; that proof
+        reads only the residual network, so the bound holds from any
+        feasible start, the warm start's included. The class arcs count
+        both ways: without the reverse ones, exit(i) -> entry(i) for i in
+        ``fbits``, in the search and the DFS, a flow can stop below its
         max, as one on a hand-weighted quotient of 1155 does (at 12 of 13;
-        the tests pin it). The blocking flow is a DFS that steps to the
-        lowest set bit of a node's residual successors in the next layer and
-        clears a dead-end node from its layer's mask, so no node is tried
-        twice in a phase.
+        the tests pin it).
         """
         g = self.g
         comp, ws = self.comp, g.weights
@@ -295,85 +314,59 @@ class _ClassNet:
                         if value >= limit:
                             break
         while value < limit:
-            # layers[k] is a mask of exits for even k and of entries for odd k
+            # layers[k]: the exits (k even) or entries (k odd) at distance k from exit(x)
             layers = [source]
-            seen_x, seen_e = source, 0
-            front = source
-            while True:
-                front = (_union(comp, front) | front & fbits) & ~seen_e
-                if not front or front & sink:
-                    break
-                seen_e |= front
-                layers.append(front)
-                front = (_union(back, front) | front & avail) & ~seen_x
-                if not front:
-                    break
-                seen_x |= front
-                layers.append(front)
-            if not front & sink:
+            if not _closure((fbits, comp, avail, back), source, 0, fronts=layers)[1] & sink:
                 break
-            layers.append(sink)
-            depth = len(layers) - 1
+            depth = next(k for k in range(1, len(layers), 2) if layers[k] & sink)
+            layers[depth] = sink
             path = [x]  # the DFS path's nodes, path[k] in layers[k]
-            while path:
+            while len(path) <= depth:
                 k = len(path) - 1
                 a = path[k]
-                if k < depth:
-                    if k & 1:
-                        step = back[a] | avail & (1 << a)
-                    else:
-                        step = comp[a] | fbits & (1 << a)
-                    step &= layers[k + 1]
-                    if step:
-                        path.append((step & -step).bit_length() - 1)
-                    else:
-                        layers[k] &= ~(1 << a)  # dead end: no augmenting path passes a this phase
-                        path.pop()
-                    continue
-                pushed = 0  # none yet: every path holds a class or reverse arc
-                for k in range(depth):
-                    a, b = path[k], path[k + 1]
-                    if k & 1:
-                        c = r[a] if a == b else amt[b, a]
-                    elif a == b:
-                        c = ws[a] - r[a]
-                    else:
-                        continue  # an adjacency arc: no capacity
-                    if not pushed or c < pushed:
-                        pushed = c
-                emptied = depth
-                for k in range(depth):
-                    a, b = path[k], path[k + 1]
-                    if k & 1:
-                        if a == b:
-                            r[a] -= pushed
-                            fbits |= 1 << a
-                            if r[a]:
-                                continue
+                if k & 1:
+                    step = back[a] | avail & (1 << a)
+                else:
+                    step = comp[a] | fbits & (1 << a)
+                step &= layers[k + 1]
+                if step:
+                    path.append((step & -step).bit_length() - 1)
+                else:
+                    layers[k] &= ~(1 << a)  # dead end: no shortest path passes a
+                    path.pop()
+            pushed = 0  # none yet: every path holds a class or reverse arc
+            for k in range(depth):
+                a, b = path[k], path[k + 1]
+                if k & 1:
+                    c = r[a] if a == b else amt[b, a]
+                elif a == b:
+                    c = ws[a] - r[a]
+                else:
+                    continue  # an adjacency arc: no capacity
+                if not pushed or c < pushed:
+                    pushed = c
+            for k in range(depth):
+                a, b = path[k], path[k + 1]
+                if k & 1:
+                    if a == b:
+                        r[a] -= pushed
+                        fbits |= 1 << a
+                        if not r[a]:
                             avail &= ~(1 << a)
-                        else:
-                            left = amt[b, a] - pushed
-                            if left:
-                                amt[b, a] = left
-                                continue
+                    else:
+                        amt[b, a] -= pushed
+                        if not amt[b, a]:
                             del amt[b, a]
                             back[a] &= ~(1 << b)
-                    elif a == b:
-                        r[a] += pushed
-                        avail |= 1 << a
-                        if r[a] != ws[a]:
-                            continue
+                elif a == b:
+                    r[a] += pushed
+                    avail |= 1 << a
+                    if r[a] == ws[a]:
                         fbits &= ~(1 << a)
-                    else:
-                        amt[a, b] = amt.get((a, b), 0) + pushed
-                        back[b] |= 1 << a
-                        continue
-                    emptied = min(emptied, k)
-                value += pushed
-                if value >= limit:
-                    return value, _Flow(r, fbits, avail, amt, back)
-                # retreat to the tail of the first arc the push emptied
-                del path[emptied + 1 :]
+                else:
+                    amt[a, b] = amt.get((a, b), 0) + pushed
+                    back[b] |= 1 << a
+            value += pushed
         return value, _Flow(r, fbits, avail, amt, back)
 
     def cuts(self, st: _Flow, u: int, v: int) -> Iterator[frozenset[int]]:
@@ -397,13 +390,13 @@ class _ClassNet:
         Seeding entry(x) and exit(y) loses no cut. No flow enters entry(x)
         or leaves exit(y): of the warm start's middle classes, a and b lie
         in ``comp[x]`` or ``comp[y]``, which hold neither x nor y, and c in
-        ``outer``, which leaves x and y out; in Dinic
-        entry(x) is a dead end, since exit(x) is only in layer 0 and
-        ``back[x]`` stays 0; and the DFS never goes past the sink. So the
-        closure of entry(x) adds only exit(x), that of exit(y) only
-        entry(y); both seeds stay closed and disjoint, and moving either
-        node to the other side of a closed side leaves it closed and its
-        class set unchanged: branching on them would only repeat cuts.
+        ``outer``, which leaves x and y out; in a search entry(x) is a
+        dead end, since exit(x) is only in layer 0 and ``back[x]`` stays 0;
+        and a searched path ends at the sink. So the closure of entry(x)
+        adds only exit(x), that of exit(y) only entry(y); both seeds stay
+        closed and disjoint, and moving either node to the other side of a
+        closed side leaves it closed and its class set unchanged: branching
+        on them would only repeat cuts.
         That the class sets of all leaves differ is not proven. The
         backward closures read ``amt`` by its tails, a view built per call.
         """

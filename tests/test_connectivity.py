@@ -586,8 +586,8 @@ def test_source_rule_flow_counts(monkeypatch):
 
 
 def count_unions(monkeypatch):
-    """Count the mask unions of the Dinic BFS, which the warm start never
-    takes: a flow that makes none ran no Dinic search."""
+    """Count the mask unions of the residual search, ``_closure``, which
+    the warm start never takes: a flow that makes none ran no search."""
     calls = []
     union = connectivity._union
 
@@ -599,13 +599,13 @@ def count_unions(monkeypatch):
     return calls
 
 
-def test_the_warm_start_ends_the_flows_before_dinic(monkeypatch):
+def test_the_warm_start_ends_the_flows_before_any_search(monkeypatch):
     unions = count_unions(monkeypatch)
     for n in (2592, 1944, 4725, 420, 840, 1800):
         kappa_class(build_quotient(n))
         assert unions == [], n
-    # 735 = 3 * 5 * 7^2 is one of the phi-weighted n that still need Dinic
-    g = build_quotient(735)
+    # the phi-weighted n below 3000 whose flows still push along a searched
+    # path: three primes each, one or two of them squared
     calls = []
     flow = _ClassNet.flow
 
@@ -616,13 +616,80 @@ def test_the_warm_start_ends_the_flows_before_dinic(monkeypatch):
         return value, st
 
     monkeypatch.setattr(_ClassNet, "flow", recorded)
-    kappa_class(g)
-    searched = [(u, v, limit, value) for u, v, limit, value, dinic in calls if dinic]
-    assert searched
-    arc = ArcNet(g)
-    for u, v, limit, value in searched:
-        want = reference_flow(arc, u, v)[0]
-        assert value == want if value < limit else limit <= value <= want, (u, v)
+    for n in (735, 1815, 2205, 2450, 2535):
+        g = build_quotient(n)
+        calls.clear()
+        kappa_class(g)
+        searched = [(u, v, limit, value) for u, v, limit, value, search in calls if search]
+        assert searched, n
+        arc = ArcNet(g)
+        for u, v, limit, value in searched:
+            want = reference_flow(arc, u, v)[0]
+            assert value == want if value < limit else limit <= value <= want, (n, u, v)
+
+
+def bfs_layers(g, u, v, st):
+    """Reference: a plain BFS from exit(u) over the residual arcs of the
+    state of a flow from u to v, written out node by node from r, amt and
+    divisibility. Returns its distance layers, each as a mask of divisor
+    indices: exits at even distances, entries at odd ones."""
+    ds = g.divisors
+    charged = {g.index(c) for c in common_neighbours(g, u, v)}
+    out = {(side, i): [] for side in "xe" for i in range(len(ds))}
+    for i, (d, w, r) in enumerate(zip(ds, g.weights, st.r)):
+        if r:
+            out["e", i].append(("x", i))
+        if r < w and i not in charged:
+            out["x", i].append(("e", i))  # the reverse of a class arc with flow
+        for j, c in enumerate(ds):
+            if i != j and (d % c == 0 or c % d == 0):
+                out["x", i].append(("e", j))
+                if st.amt.get((i, j), 0) > 0:
+                    out["e", j].append(("x", i))  # the reverse of an adjacency arc with flow
+    dist = {("x", g.index(u)): 0}
+    queue = deque(dist)
+    while queue:
+        a = queue.popleft()
+        for b in out[a]:
+            if b not in dist:
+                dist[b] = dist[a] + 1
+                queue.append(b)
+    layers = [0] * (max(dist.values()) + 1)
+    for (_, i), k in dist.items():
+        layers[k] |= 1 << i
+    return layers
+
+
+def test_closure_fronts_are_the_bfs_distance_layers():
+    # the search in flow takes its shortest paths through these layers, and
+    # Edmonds and Karp's bound rests on their being shortest, which no
+    # flow value can show. The states are those of exact flows and of flows
+    # stopped at a random limit, with phi and with hand weights; 679 of
+    # them have more than six layers
+    rng = random.Random(1972)
+    quotients = [build_quotient(n) for n in (735, 1815, 2205, 2310)]
+    quotients += [hand_weighted(n, rng) for n in range(30, 400, 3)]
+    states = deep = 0
+    for g in quotients:
+        if g.is_complete:
+            continue
+        net = _ClassNet(g)
+        pairs = non_adjacent_pairs(g)
+        for u, v in rng.sample(pairs, min(10, len(pairs))):
+            want = net.flow(u, v)[0]
+            for limit in (rng.randint(1, want + 1), want + 1):
+                _, st = net.flow(u, v, limit)
+                x = g.index(u)
+                fronts = [1 << x]
+                arcs = (st.fbits, net.comp, st.avail, st.back)
+                seen = connectivity._closure(arcs, 1 << x, 0, fronts=fronts)
+                layers = bfs_layers(g, u, v, st)
+                assert fronts == layers + [0], (g.n, g.weights, u, v, limit)
+                # the layers are disjoint, so their sums are their unions
+                assert seen == (sum(layers[::2]), sum(layers[1::2])), (g.n, u, v, limit)
+                states += 1
+                deep += len(layers) > 6
+    assert (states, deep) == (1702, 679)
 
 
 def test_the_warm_start_stops_at_the_limit(monkeypatch):
